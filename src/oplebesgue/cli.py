@@ -27,8 +27,8 @@ import sys
 import time
 
 from .diagonal import (
+    _verified_companion,
     certificate_to_json,
-    construct_unbounded_ratio,
     diag_decompose,
     diag_uniqueness,
     sequence_from_json,
@@ -37,7 +37,7 @@ from .diagonal import (
 )
 from .errors import ConsistencyError, ConvergenceError, ValidationError
 from .functionals import NormalFunctional, functional_from_json, functional_uniqueness
-from .lebesgue import ac_part_iterative, decompose, uniqueness_certificate
+from .lebesgue import ac_part_iterative, decompose
 from .psd_core import ToleranceConfig, matrix_to_json, psd_from_json
 
 EXIT_OK = 0
@@ -141,12 +141,11 @@ def cmd_decompose(args) -> int:
         s = psd_from_json(obj_s, cfg)
         t = psd_from_json(obj_t, cfg)
         dec = decompose(s, t, cfg)
-        cert = uniqueness_certificate(s, t, cfg)
         body = {
             "ac": matrix_to_json(dec.ac),
             "sing": matrix_to_json(dec.sing),
-            "unique": cert.unique,
-            "c": _json_number(cert.c),
+            "unique": dec.uniqueness.unique,
+            "c": _json_number(dec.uniqueness.c),
             "iterations": _iterations_block(dec.trace_of_iteration),
         }
     elif kind_s == "sequence":
@@ -198,11 +197,7 @@ def cmd_counterexample(args) -> int:
     if _sniff_kind(obj) != "sequence":
         raise ValidationError("counterexample input must be a sequence JSON")
     lam = sequence_from_json(obj)
-    mu, certificate = construct_unbounded_ratio(lam, args.truncate_horizon)
-    _, sing = diag_decompose(mu, lam)
-    unique, _ = diag_uniqueness(mu, lam)
-    if sing.total() != 0.0 or unique:
-        raise ConsistencyError("constructed pair failed its own certificates")
+    mu, certificate = _verified_companion(lam, args.truncate_horizon)
     report = {
         "inputs": {"lambda": _echo(lam, "sequence", digest)},
         "t": sequence_to_json(lam),

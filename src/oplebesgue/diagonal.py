@@ -315,6 +315,19 @@ def construct_unbounded_ratio(
     return mu, certificate
 
 
+def _verified_companion(lam: L1Sequence, horizon: int) -> Tuple[L1Sequence, RatioCertificate]:
+    """``construct_unbounded_ratio`` with the check that the pair is not unique:
+    the companion has no singular part against lam and does not certify as unique."""
+    mu, certificate = construct_unbounded_ratio(lam, horizon)
+    _, sing = diag_decompose(mu, lam)
+    if sing.total() != 0.0:
+        raise ConsistencyError("constructed companion has a singular part against its base")
+    unique, _ = diag_uniqueness(mu, lam)
+    if unique:
+        raise ConsistencyError("constructed companion is dominated; ratio growth was lost")
+    return mu, certificate
+
+
 def counterexample_pair(
     lam: L1Sequence, horizon: int = DEFAULT_HORIZON
 ) -> Tuple[L1Sequence, L1Sequence]:
@@ -323,15 +336,7 @@ def counterexample_pair(
     Verified before returning: s has no singular part relative to t, yet s is
     not t-dominated, so uniqueness fails by the domination criterion.
     """
-    mu, _ = construct_unbounded_ratio(lam, horizon)
-    _, sing = diag_decompose(mu, lam)
-    if sing.total() != 0.0:
-        raise ConsistencyError("constructed companion has a singular part against its base")
-    if diag_is_dominated(mu, lam) is not None:
-        raise ConsistencyError("constructed companion is dominated; ratio growth was lost")
-    unique, _ = diag_uniqueness(mu, lam)
-    if unique:
-        raise ConsistencyError("constructed pair certifies as unique")
+    mu, _ = _verified_companion(lam, horizon)
     return lam, mu
 
 

@@ -83,10 +83,11 @@ def _argument(a) -> HermitianMatrix:
 
 
 def evaluate(f: NormalFunctional, a, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """f(A) = trace(A T).  Sequence representatives act through truncation."""
+    """f(A) = trace(A T), the O(n^2) pairing vdot(T, A) for Hermitian A and T.
+    Sequence representatives act through truncation."""
     arg = _argument(a)
     rep = f.rep_matrix(arg.dim, cfg)
-    return float(np.trace(arg.array @ rep.array).real)
+    return float(np.vdot(rep.array, arg.array).real)
 
 
 def functional_leq(f: NormalFunctional, g: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:

@@ -6,19 +6,19 @@ independent ways, and certifies the split before returning it:
 
 * ``ac_part_iterative`` follows the monotone approximation scheme: the
   parallel sums (2^k T) : S increase to the absolutely continuous part as the
-  scale doubles.  Internally the whole family is evaluated through one scaled
-  factorization (see ``_ScaledParallelSums``) so that no accuracy is lost at
+  scale doubles.  The whole family is evaluated through the one scaled
+  factorization of the parallel-sum engine, so that no accuracy is lost at
   scales like 2^60 where a naive pseudoinverse of S + 2^k T would drown the
   small spectral components in roundoff.
 
 * ``ac_part_closed`` evaluates the kernel-projection formula
   sqrt(S) P_M sqrt(S), where M is the null space of (I - P_T) sqrt(S).
 
-``decompose`` requires the two routes to agree and verifies additivity,
-singularity of the remainder and range containment of the regular part.
-In this finite-dimensional model the regular part is always dominated by T,
-so the decomposition is always certified unique -- the certificate still
-performs the check instead of assuming it.
+``decompose`` requires the two routes to agree, verifies additivity,
+singularity of the remainder and range containment of the regular part, and
+certifies uniqueness: the split is unique iff the regular part is dominated
+by T.  In this finite-dimensional model that always holds -- the certificate
+still performs the check instead of assuming it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DimensionMismatchError, ValidationError
-from .parallel_sum import is_singular_pair
+from .parallel_sum import _ScaledParallelSums, is_singular_pair
 from .psd_core import (
     DEFAULT_CONFIG,
     PsdMatrix,
@@ -51,14 +51,10 @@ ORACLE_AGREEMENT_RTOL = 1e-8
 # Additivity of the returned split, relative trace norm.
 ADDITIVITY_RTOL = 1e-9
 
-# Scalar filter components with weight below this are exact zeros up to
-# roundoff (their factor columns vanish identically in exact arithmetic).
-_FILTER_FLOOR = 1e-14
-
 # Relative singular-value cutoff for the null space of (I - P_T) sqrt(S):
 # must sit above the backward-error noise floor of the factor (about
-# n * eps * sqrt(lambda_max)) and below the square root of the eigenvalue
-# resolution sqrt(rank_cutoff * lambda_max), so that mass at the engine's
+# n * eps * sqrt(lambda_max)) and below sqrt(rank_cutoff) * sqrt(lambda_max),
+# the square root of the eigenvalue resolution, so that mass at the engine's
 # rank floor is split the way the exact kernel dictates.
 _KERNEL_RTOL = 1e-8
 
@@ -86,15 +82,6 @@ class IterationTrace:
 
 
 @dataclass(frozen=True)
-class LebesgueDecomposition:
-    """Certified split S = ac + sing with the iteration record that produced it."""
-
-    ac: PsdMatrix
-    sing: PsdMatrix
-    trace_of_iteration: IterationTrace
-
-
-@dataclass(frozen=True)
 class UniquenessCertificate:
     """Whether the decomposition is unique, i.e. the regular part is dominated.
 
@@ -107,71 +94,24 @@ class UniquenessCertificate:
     witness: Optional[str] = None
 
 
-class _ScaledParallelSums:
-    """Evaluator for the whole family n -> (n T) : S from one factorization.
+@dataclass(frozen=True)
+class LebesgueDecomposition:
+    """Certified split S = ac + sing with the iteration record that produced it
+    and the uniqueness certificate of the split."""
 
-    Writing T = L L* and S = R R* through their spectral forms, the Gram
-    matrix of [L R] yields an orthonormal basis W = [W1; W2] of its range and
-    the scale enters only through the perfectly conditioned scalar filter
-    phi_i(n) = n / (1 + (n - 1) a_i), where a_i are the eigenvalues of W1* W1:
-
-        (n T) : S  =  F diag(phi_i(n)) H*,   F = L W1 U,  H = R W2 U.
-
-    Components with a_i = 0 have identically vanishing F columns and are
-    dropped, which keeps the limit n -> inf finite.  Accuracy is uniform in n.
-    """
-
-    def __init__(self, s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig):
-        if s.dim != t.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
-        self.dim = s.dim
-        left = self._factor(t, cfg)
-        right = self._factor(s, cfg)
-        p = left.shape[1]
-        stacked = np.concatenate([left, right], axis=1)
-        gram = stacked.conj().T @ stacked
-        if gram.shape[0] == 0:
-            self._weights = np.zeros(0)
-            self._front = np.zeros((self.dim, 0), dtype=complex)
-            self._back = np.zeros((self.dim, 0), dtype=complex)
-            return
-        gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
-        keep = gw > cfg.rank_cutoff * max(float(gw[-1]), 0.0)
-        basis = gV[:, keep]
-        top, bottom = basis[:p, :], basis[p:, :]
-        overlap = top.conj().T @ top
-        a, U = np.linalg.eigh((overlap + overlap.conj().T) / 2)
-        a = np.clip(a, 0.0, 1.0)
-        live = a > _FILTER_FLOOR
-        self._weights = a[live]
-        self._front = left @ (top @ U[:, live])
-        self._back = right @ (bottom @ U[:, live])
-
-    @staticmethod
-    def _factor(matrix: PsdMatrix, cfg: ToleranceConfig) -> np.ndarray:
-        w = matrix.eigenvalues
-        keep = w > cfg.rank_cutoff * matrix.lam_max
-        V = matrix.spectrum.eigenvectors[:, keep]
-        return V * np.sqrt(w[keep])
-
-    def at_scale(self, scale: float) -> np.ndarray:
-        """(scale * T) : S as a Hermitian array."""
-        a = self._weights
-        if a.size == 0:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        phi = scale / (1.0 + (scale - 1.0) * a)
-        product = (self._front * phi) @ self._back.conj().T
-        return (product + product.conj().T) / 2
+    ac: PsdMatrix
+    sing: PsdMatrix
+    trace_of_iteration: IterationTrace
+    uniqueness: UniquenessCertificate
 
 
 def _domination_constant(candidate: np.ndarray, t: PsdMatrix, cfg: ToleranceConfig) -> float:
     """Smallest c with candidate <= c T assuming range containment; inf if the
     Loewner check rejects the computed constant."""
-    w = t.eigenvalues
-    keep = w > cfg.rank_cutoff * t.lam_max
-    if not np.any(keep):
+    k = t.rank(cfg)
+    if k == 0:
         return 0.0 if op_norm(candidate) <= cfg.psd_tol else math.inf
-    inv_root = t.spectrum.eigenvectors[:, keep] * (1.0 / np.sqrt(w[keep]))
+    inv_root = t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(t.eigenvalues[:k]))
     compressed = inv_root.conj().T @ candidate @ inv_root
     c = max(float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[-1]), 0.0)
     if not loewner_leq(candidate, c * t.array, cfg):
@@ -195,10 +135,8 @@ def ac_part_iterative(
     current = family.at_scale(1.0)
     for k in range(cfg.max_iters):
         nxt = family.at_scale(2.0 ** (k + 1))
-        diff = nxt - current
-        gap = trace_norm(diff)
-        band = cfg.psd_tol * max(1.0, float(np.linalg.eigvalsh(nxt)[-1]))
-        if float(np.linalg.eigvalsh(diff)[0]) < -band:
+        gap = trace_norm(nxt - current)
+        if not loewner_leq(current, nxt, cfg):
             raise ConsistencyError(
                 f"approximant sequence is not monotone at step k={k}",
                 details={"step": k, "gap": gap},
@@ -252,7 +190,8 @@ def decompose(
     validates the other; disagreement is an internal error carrying both
     candidates).  The returned split uses the kernel-projection form, whose
     additivity and range containment are exact by construction, and every
-    certificate is verified before returning.
+    certificate is verified before returning.  The uniqueness certificate
+    carries the domination constant of the regular part.
     """
     iterative, record = ac_part_iterative(s, t, cfg)
     closed = ac_part_closed(s, t, cfg)
@@ -272,7 +211,18 @@ def decompose(
         raise ConsistencyError("computed singular part is not singular to the reference operator")
     if not range_contained(ac, t, cfg):
         raise ConsistencyError("regular part leaks outside the range of the reference operator")
-    return LebesgueDecomposition(ac=ac, sing=sing, trace_of_iteration=record)
+    c = is_dominated(ac, t, cfg)
+    if c is None:
+        uniqueness = UniquenessCertificate(
+            unique=False,
+            c=math.inf,
+            witness="regular part admits no finite domination constant",
+        )
+    else:
+        uniqueness = UniquenessCertificate(unique=True, c=c)
+    return LebesgueDecomposition(
+        ac=ac, sing=sing, trace_of_iteration=record, uniqueness=uniqueness
+    )
 
 
 def is_dominated(
@@ -316,17 +266,10 @@ def uniqueness_certificate(
     """Certify uniqueness: the split is unique iff the regular part is T-dominated.
 
     For matrices this always succeeds (finite rank forces domination); the
-    check is still performed, never assumed.
+    check is still performed, never assumed.  This is the certificate that
+    ``decompose`` attaches to its result.
     """
-    dec = decompose(s, t, cfg)
-    c = is_dominated(dec.ac, t, cfg)
-    if c is None:
-        return UniquenessCertificate(
-            unique=False,
-            c=math.inf,
-            witness="regular part admits no finite domination constant",
-        )
-    return UniquenessCertificate(unique=True, c=c)
+    return decompose(s, t, cfg).uniqueness
 
 
 def extremality_check(

@@ -172,9 +172,14 @@ class PsdMatrix(HermitianMatrix):
         return float(w[0]) if w.size else 0.0
 
     def rank(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
-        """Numerical rank: eigenvalues above rank_cutoff * lambda_max."""
-        w = self._spectrum.eigenvalues
-        return int(np.sum(w > cfg.rank_cutoff * self.lam_max))
+        """Numerical rank relative to the operator's own largest eigenvalue."""
+        return rank_at_scale(self.eigenvalues, self.lam_max, cfg)
+
+
+def rank_at_scale(eigenvalues: np.ndarray, scale: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
+    """How many of the descending ``eigenvalues`` lie above rank_cutoff * scale.
+    Every rank decision in the package is made here, at a scale the caller picks."""
+    return int(np.count_nonzero(eigenvalues > cfg.rank_cutoff * scale))
 
 
 def _as_array(matrix) -> np.ndarray:
@@ -206,12 +211,9 @@ def sqrt_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
 def pinv_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Moore-Penrose pseudoinverse with eigenvalues below the rank cutoff zeroed."""
     psd = _as_psd(matrix, cfg)
-    w = psd.eigenvalues
-    cut = cfg.rank_cutoff * psd.lam_max
-    keep = w > cut
-    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    V = psd.spectrum.eigenvectors
-    return PsdMatrix((V * inv) @ V.conj().T, cfg)
+    k = psd.rank(cfg)
+    V = psd.spectrum.eigenvectors[:, :k]
+    return PsdMatrix((V / psd.eigenvalues[:k]) @ V.conj().T, cfg)
 
 
 def range_projection(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
@@ -282,34 +284,25 @@ def joint_scale(a: "PsdMatrix", b: "PsdMatrix") -> float:
     return max(a.lam_max, b.lam_max, 1.0)
 
 
-def rank_above(psd: "PsdMatrix", cutoff: float) -> int:
-    return int(np.sum(psd.eigenvalues > cutoff))
-
-
-def projector_above(psd: "PsdMatrix", cutoff: float) -> np.ndarray:
-    k = rank_above(psd, cutoff)
-    V = psd.spectrum.eigenvectors[:, :k]
-    return V @ V.conj().T
-
-
 def range_contained(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Is range(a) contained in range(b) at the configured rank tolerance?
 
     Ranks are taken against the pair's joint scale, so a part that is zero up
     to roundoff of the surrounding computation counts as zero.  Containment is
-    measured by the largest principal-angle sine, op_norm((I - P_b) P_a);
-    genuine inclusions sit at roundoff level while violations are O(1), so
-    the threshold sqrt(rank_cutoff) separates them with orders of margin and
-    tightens together with the rank policy.
+    measured by the largest principal-angle sine, op_norm((I - P_b) V_a) with
+    V_a an orthonormal basis of range(a); genuine inclusions sit at roundoff
+    level while violations are O(1), so the threshold sqrt(rank_cutoff)
+    separates them with orders of margin and tightens with the rank policy.
     """
     psd_a, psd_b = _as_psd(a, cfg), _as_psd(b, cfg)
     _require_same_dim(psd_a.array, psd_b.array)
-    cutoff = cfg.rank_cutoff * joint_scale(psd_a, psd_b)
-    if rank_above(psd_a, cutoff) == 0:
+    scale = joint_scale(psd_a, psd_b)
+    k_a = rank_at_scale(psd_a.eigenvalues, scale, cfg)
+    if k_a == 0:
         return True
-    proj_a = projector_above(psd_a, cutoff)
-    proj_b = projector_above(psd_b, cutoff)
-    leak = (np.eye(psd_a.dim) - proj_b) @ proj_a
+    basis_a = psd_a.spectrum.eigenvectors[:, :k_a]
+    basis_b = psd_b.spectrum.eigenvectors[:, :rank_at_scale(psd_b.eigenvalues, scale, cfg)]
+    leak = basis_a - basis_b @ (basis_b.conj().T @ basis_a)
     return op_norm(leak) <= math.sqrt(cfg.rank_cutoff)
 
 

@@ -64,6 +64,23 @@ class TestDecompose:
         assert body["sing"]["prefix"] == [0.0, 1.0]
         assert body["unique"] is True and body["iterations"] == []
 
+    def test_decomposes_once(self, tmp_path, capsys, monkeypatch):
+        from oplebesgue import cli, lebesgue
+
+        calls = []
+        original = lebesgue.decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lebesgue, "decompose", counted)
+        monkeypatch.setattr(cli, "decompose", counted)
+        code, _, _ = run_cli(["--quiet", "decompose", DATA / "s_ones.json",
+                              DATA / "t_diag10.json", tmp_path / "r.json"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_non_hermitian_input_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["--quiet", "decompose", DATA / "bad_nonherm.json",
                                 DATA / "t_diag10.json", tmp_path / "r.json"], capsys)

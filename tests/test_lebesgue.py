@@ -177,6 +177,27 @@ class TestDecompose:
             scaled = decompose(PsdMatrix(alpha * s.array), t).ac.array
             assert trace_norm(scaled - alpha * base) <= 1e-9 * max(1.0, alpha * trace_norm(s))
 
+    def test_near_aligned_singular_pair(self):
+        # ranges of rank 16 in dimension 32 that meet only at zero, with a
+        # smallest principal angle of 3e-4: the parallel sum is zero up to
+        # roundoff, and that roundoff must stay inside the PSD band
+        rng = make_rng(37)
+        dim, rank = 32, 16
+        q = random_unitary(rng, dim)
+        angles = rng.uniform(0.1, np.pi / 2, rank)
+        angles[0] = 3e-4
+        range_s = q[:, :rank]
+        range_t = range_s * np.cos(angles) + q[:, rank:2 * rank] * np.sin(angles)
+
+        def gram(basis):
+            factor = basis @ (rng.standard_normal((rank, 24)) + 1j * rng.standard_normal((rank, 24)))
+            return PsdMatrix(factor @ factor.conj().T / dim)
+
+        s, t = gram(range_s), gram(range_t)
+        dec = decompose(s, t)
+        assert trace_norm(dec.ac) <= 1e-8 * np.trace(s.array).real
+        assert dec.uniqueness.unique
+
     def test_degenerate_inputs(self):
         zero = PsdMatrix(np.zeros((2, 2)))
         dec = decompose(ONES, zero)
@@ -223,6 +244,13 @@ class TestAbsoluteContinuity:
 
 
 class TestUniqueness:
+    def test_decomposition_carries_the_certificate(self):
+        rng = make_rng(36)
+        s, t = random_psd(rng, 5), random_psd(rng, 5, rank=3)
+        dec = decompose(s, t)
+        assert dec.uniqueness == uniqueness_certificate(s, t)
+        assert dec.uniqueness.c == is_dominated(dec.ac, t)
+
     def test_random_pairs_always_unique(self):
         rng = make_rng(42)
         for _ in range(10):

@@ -23,6 +23,14 @@ def diagonal_oracle(s, t):
     return np.diag(out)
 
 
+def dense_oracle(s, t, rank_cutoff=1e-10):
+    """The Anderson-Duffin formula S (S+T)^+ T with a dense pseudoinverse of S+T."""
+    w, v = np.linalg.eigh(s + t)
+    keep = w > rank_cutoff * w[-1]
+    product = s @ ((v[:, keep] / w[keep]) @ v[:, keep].conj().T) @ t
+    return (product + product.conj().T) / 2
+
+
 class TestExamples:
     def test_scalar_harmonic_mean(self):
         result = parallel_sum(PsdMatrix([[1.0]]), PsdMatrix([[1.0]]))
@@ -42,6 +50,23 @@ class TestExamples:
 
 
 class TestProperties:
+    @pytest.mark.parametrize("dim", [8, 32])
+    @pytest.mark.parametrize(
+        "ranks",
+        [(0.75, 0.75), (0.5, 0.5), (1.0, 1.0)],
+        ids=["generic", "singular", "full-rank"],
+    )
+    def test_dense_formula_oracle(self, dim, ranks):
+        rng = make_rng(26)
+        rank_s, rank_t = (int(share * dim) for share in ranks)
+        for _ in range(10):
+            s = random_psd(rng, dim, rank=rank_s)
+            t = random_psd(rng, dim, rank=rank_t)
+            got = parallel_sum(s, t).array
+            expected = dense_oracle(s.array, t.array)
+            scale = np.linalg.norm(s.array) + np.linalg.norm(t.array)
+            assert np.linalg.norm(got - expected) <= 1e-10 * scale
+
     def test_diagonal_oracle_also_conjugated(self):
         rng = make_rng(21)
         for _ in range(30):
