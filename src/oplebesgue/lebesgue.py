@@ -6,10 +6,17 @@ independent ways, and certifies the split before returning it:
 
 * ``ac_part_iterative`` follows the monotone approximation scheme: the
   parallel sums (2^k T) : S increase to the absolutely continuous part as the
-  scale doubles.  The whole family is evaluated through the one scaled
-  factorization of the parallel-sum engine, so that no accuracy is lost at
-  scales like 2^60 where a naive pseudoinverse of S + 2^k T would drown the
-  small spectral components in roundoff.
+  scale doubles.  The whole family comes from the one scaled factorization of
+  the parallel-sum engine, so that no accuracy is lost at scales like 2^60
+  where a naive pseudoinverse of S + 2^k T would drown the small spectral
+  components in roundoff.  The iteration runs in the r-dimensional weight
+  space of that factorization: each step's trace, trace-norm gap and
+  domination constant cost O(r), and monotonicity and PSD-ness of every step
+  follow from the structure the engine certifies once, at construction.  The
+  dense checks stay on the pair that is returned: the last approximant below
+  the limit in the Loewner order, the limit a valid PSD matrix, and the last
+  domination constant verified by a Loewner comparison with c T.  Step
+  approximants are built from the family only when they are read.
 
 * ``ac_part_closed`` evaluates the kernel-projection formula
   sqrt(S) P_M sqrt(S), where M is the null space of (I - P_T) sqrt(S).
@@ -24,7 +31,7 @@ still performs the check instead of assuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,6 +40,7 @@ from .errors import ConsistencyError, ConvergenceError, DimensionMismatchError, 
 from .parallel_sum import _ScaledParallelSums, is_singular_pair
 from .psd_core import (
     DEFAULT_CONFIG,
+    HermitianMatrix,
     PsdMatrix,
     ToleranceConfig,
     loewner_leq,
@@ -62,14 +70,20 @@ _KERNEL_RTOL = 1e-8
 @dataclass(frozen=True)
 class IterationStep:
     """One monotone approximant: scale n = 2^k, its trace, the trace-norm gap
-    to the next approximant and the smallest c with S_k <= c T (inf if none)."""
+    to the next approximant and the smallest c with S_k <= c T (inf if none).
+    The approximant itself is built from the shared factorization on read."""
 
     k: int
     scale: float
-    approximant: PsdMatrix
     trace: float
     gap: float
     c_bound: float
+    family: _ScaledParallelSums = field(repr=False, compare=False)
+    cfg: ToleranceConfig = field(repr=False, compare=False)
+
+    @property
+    def approximant(self) -> PsdMatrix:
+        return PsdMatrix(self.family.at_scale(self.scale), self.cfg)
 
 
 @dataclass(frozen=True)
@@ -114,9 +128,12 @@ def _domination_constant(candidate: np.ndarray, t: PsdMatrix, cfg: ToleranceConf
     inv_root = t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(t.eigenvalues[:k]))
     compressed = inv_root.conj().T @ candidate @ inv_root
     c = max(float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[-1]), 0.0)
-    if not loewner_leq(candidate, c * t.array, cfg):
-        return math.inf
-    return c
+    return _verified_bound(candidate, c, t, cfg)
+
+
+def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix, cfg: ToleranceConfig) -> float:
+    """c when the Loewner check accepts candidate <= c T, inf otherwise."""
+    return c if loewner_leq(candidate, c * t.array, cfg) else math.inf
 
 
 def ac_part_iterative(
@@ -125,35 +142,41 @@ def ac_part_iterative(
     """Limit of the monotone approximants (2^k T) : S, with the full record.
 
     Stops once the trace-norm gap between successive approximants falls below
-    conv_tol * max(1, trace S); each step is verified nondecreasing in the
-    Loewner order.  Non-convergence raises ConvergenceError carrying the trace
-    so the last approximant can still be inspected.
+    conv_tol * max(1, trace S).  Each step is read off the engine's weights;
+    the returned approximant is verified densely: above the last recorded one
+    in the Loewner order, PSD, and with the last domination constant checked
+    against T.  Non-convergence raises ConvergenceError carrying the trace so
+    the last approximant can still be inspected.
     """
     family = _ScaledParallelSums(s, t, cfg)
     threshold = cfg.conv_tol * max(1.0, trace(s))
     steps: List[IterationStep] = []
-    current = family.at_scale(1.0)
     for k in range(cfg.max_iters):
-        nxt = family.at_scale(2.0 ** (k + 1))
-        gap = trace_norm(nxt - current)
-        if not loewner_leq(current, nxt, cfg):
+        scale = 2.0**k
+        step = IterationStep(
+            k=k,
+            scale=scale,
+            trace=family.trace_at(scale),
+            gap=family.gap(scale, 2.0 * scale),
+            c_bound=family.domination_at(scale),
+            family=family,
+            cfg=cfg,
+        )
+        if step.gap > threshold:
+            steps.append(step)
+            continue
+        current = family.at_scale(scale)
+        try:
+            limit = PsdMatrix(family.at_scale(2.0 * scale), cfg)
+        except ValidationError as exc:
+            raise ConsistencyError(f"limit of the monotone approximation: {exc}") from exc
+        if not loewner_leq(current, limit, cfg):
             raise ConsistencyError(
                 f"approximant sequence is not monotone at step k={k}",
-                details={"step": k, "gap": gap},
+                details={"step": k, "gap": step.gap},
             )
-        steps.append(
-            IterationStep(
-                k=k,
-                scale=2.0**k,
-                approximant=PsdMatrix(current, cfg),
-                trace=float(np.trace(current).real),
-                gap=gap,
-                c_bound=_domination_constant(current, t, cfg),
-            )
-        )
-        if gap <= threshold:
-            return PsdMatrix(nxt, cfg), IterationTrace(tuple(steps), converged=True)
-        current = nxt
+        steps.append(replace(step, c_bound=_verified_bound(current, step.c_bound, t, cfg)))
+        return limit, IterationTrace(tuple(steps), converged=True)
     raise ConvergenceError(
         f"monotone approximation did not converge in {cfg.max_iters} scale doublings "
         f"(last gap {steps[-1].gap:.3e}, threshold {threshold:.3e})",
@@ -195,7 +218,8 @@ def decompose(
     """
     iterative, record = ac_part_iterative(s, t, cfg)
     closed = ac_part_closed(s, t, cfg)
-    drift = trace_norm(iterative.array - closed.array) / max(1.0, trace_norm(s))
+    drift = trace_norm(HermitianMatrix(iterative.array - closed.array))
+    drift /= max(1.0, trace_norm(s))
     if drift > ORACLE_AGREEMENT_RTOL:
         raise ConsistencyError(
             f"independent computations of the regular part disagree "
@@ -204,7 +228,8 @@ def decompose(
         )
     ac = closed
     sing = PsdMatrix(s.array - ac.array, cfg)
-    residual = trace_norm(ac.array + sing.array - s.array) / max(1.0, trace_norm(s))
+    residual = trace_norm(HermitianMatrix(ac.array + sing.array - s.array))
+    residual /= max(1.0, trace_norm(s))
     if residual > ADDITIVITY_RTOL:
         raise ConsistencyError(f"decomposition does not add back to its input ({residual:.3e})")
     if not is_singular_pair(sing, t, cfg):

@@ -11,7 +11,8 @@ factored engine ``_ScaledParallelSums``.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +43,14 @@ class _ScaledParallelSums:
 
     Components with a_i = 0 have identically vanishing F columns and are
     dropped, which keeps the limit n -> inf finite.  Accuracy is uniform in n.
+
+    In exact arithmetic H_i = ((1 - a_i) / a_i) F_i, so every component is a
+    rank-one PSD term of trace d_i = Re(H_i* F_i), and phi_i is nondecreasing
+    in n because a_i lies in (0, 1].  Both facts are certified once, at
+    construction and in O(n r), which makes every member of the family PSD,
+    the family Loewner-monotone, and the trace norm of the step from n to m
+    equal to sum_i (phi_i(m) - phi_i(n)) d_i.  Traces, gaps and domination
+    constants of the members are then read off in O(r).
     """
 
     def __init__(self, s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig):
@@ -57,33 +66,104 @@ class _ScaledParallelSums:
             self._weights = np.zeros(0)
             self._front = np.zeros((self.dim, 0), dtype=complex)
             self._back = np.zeros((self.dim, 0), dtype=complex)
-            return
-        gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
-        # eigh sorts ascending: the kept components are the trailing ones
-        kept = rank_at_scale(gw[::-1], max(float(gw[-1]), 0.0), cfg)
-        basis = gV[:, gw.size - kept:]
-        top, bottom = basis[:p, :], basis[p:, :]
-        overlap = top.conj().T @ top
-        a, U = np.linalg.eigh((overlap + overlap.conj().T) / 2)
-        a = np.clip(a, 0.0, 1.0)
-        live = a > _FILTER_FLOOR
-        self._weights = a[live]
-        self._front = left @ (top @ U[:, live])
-        self._back = right @ (bottom @ U[:, live])
+        else:
+            gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
+            # eigh sorts ascending: the kept components are the trailing ones
+            kept = rank_at_scale(gw[::-1], max(float(gw[-1]), 0.0), cfg)
+            basis = gV[:, gw.size - kept:]
+            top, bottom = basis[:p, :], basis[p:, :]
+            overlap = top.conj().T @ top
+            a, U = np.linalg.eigh((overlap + overlap.conj().T) / 2)
+            a = np.clip(a, 0.0, 1.0)
+            live = a > _FILTER_FLOOR
+            self._weights = a[live]
+            self._front = left @ (top @ U[:, live])
+            self._back = right @ (bottom @ U[:, live])
+        self._mass, self._rate = self._certify(math.sqrt(s.lam_max * t.lam_max), cfg)
 
     @staticmethod
     def _factor(matrix: PsdMatrix, cfg: ToleranceConfig) -> np.ndarray:
         k = matrix.rank(cfg)
         return matrix.spectrum.eigenvectors[:, :k] * np.sqrt(matrix.eigenvalues[:k])
 
+    def _certify(self, joint: float, cfg: ToleranceConfig) -> Tuple[np.ndarray, np.ndarray]:
+        """Check that every component is a rank-one PSD term with a filter
+        nondecreasing in n; return each component's trace d_i and its rate
+        d_i a_i / |F_i|^2 toward the domination constant.
+
+        By Cauchy-Schwarz d_i <= |F_i| |H_i|, with equality exactly when H_i is
+        a positive multiple of F_i; the Hermitian part of F_i H_i* has the
+        eigenvalues (d_i +- |F_i| |H_i|) / 2, so a component counts as PSD when
+        its negative eigenvalue stays within psd_tol of its trace.  A component
+        that fails the test is admitted only if its term stays below the
+        resolution of the factorization in every member of the family:
+        |F_i| |H_i| / a_i (phi_i(n) <= 1 / a_i) at most sqrt(rank_cutoff) times
+        the joint magnitude sqrt(lambda_max(S) lambda_max(T)), which bounds
+        |F_i| |H_i|.  Such components come from the a_i = 1 columns, whose H_i
+        vanishes in exact arithmetic, and carry no weight.  Any other failure
+        raises ConsistencyError.
+        """
+        a = self._weights
+        if np.any((a <= 0.0) | (a > 1.0)):
+            raise ConsistencyError(
+                "parallel-sum filter weights leave (0, 1]: the scaled family is not monotone",
+                details={"weights": (float(a.min()), float(a.max()))},
+            )
+        front_norm = np.linalg.norm(self._front, axis=0)
+        product = front_norm * np.linalg.norm(self._back, axis=0)
+        mass = np.real(np.sum(self._back.conj() * self._front, axis=0))
+        psd_term = mass >= (1.0 - cfg.psd_tol) * product
+        broken = ~psd_term & (product > math.sqrt(cfg.rank_cutoff) * joint * a)
+        if np.any(broken):
+            worst = int(np.argmax(np.where(broken, product, 0.0)))
+            raise ConsistencyError(
+                f"parallel-sum component {worst} is not a PSD term: trace "
+                f"{mass[worst]:.3e} against Cauchy-Schwarz bound {product[worst]:.3e}",
+                details={"component": worst, "trace": float(mass[worst]),
+                         "bound": float(product[worst])},
+            )
+        mass = np.where(psd_term, mass, 0.0)
+        carried = mass > 0.0
+        rate = np.zeros_like(mass)
+        rate[carried] = mass[carried] * a[carried] / front_norm[carried] ** 2
+        return mass, rate
+
+    def _filter(self, scale: float) -> np.ndarray:
+        return scale / (1.0 + (scale - 1.0) * self._weights)
+
     def at_scale(self, scale: float) -> np.ndarray:
         """(scale * T) : S as a Hermitian array."""
-        a = self._weights
-        if a.size == 0:
+        if self._weights.size == 0:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        phi = scale / (1.0 + (scale - 1.0) * a)
-        product = (self._front * phi) @ self._back.conj().T
+        product = (self._front * self._filter(scale)) @ self._back.conj().T
         return (product + product.conj().T) / 2
+
+    def trace_at(self, scale: float) -> float:
+        """trace((scale * T) : S)."""
+        return float(self._filter(scale) @ self._mass)
+
+    def gap(self, scale: float, larger: float) -> float:
+        """Trace norm of (larger * T) : S - (scale * T) : S.
+
+        The filter increment is written as (m - n)(1 - a) / ((1 + (m - 1) a)
+        (1 + (n - 1) a)), a product of nonnegative factors, so the gap is
+        nonnegative in floating point and free of cancellation.
+        """
+        a = self._weights
+        increment = (larger - scale) * (1.0 - a) / (
+            (1.0 + (larger - 1.0) * a) * (1.0 + (scale - 1.0) * a)
+        )
+        return float(increment @ self._mass)
+
+    def domination_at(self, scale: float) -> float:
+        """Smallest c with (scale * T) : S <= c T.
+
+        Whitened by T, the front factor becomes W1 U, whose Gram matrix is
+        diag(a); the member is then diagonal with entries phi_i d_i a_i / |F_i|^2.
+        """
+        if self._rate.size == 0:
+            return 0.0
+        return float(np.max(self._filter(scale) * self._rate))
 
 
 def parallel_sum(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
@@ -92,17 +172,11 @@ def parallel_sum(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONF
     return PsdMatrix(_ScaledParallelSums(s, t, cfg).at_scale(1.0), cfg)
 
 
-def is_singular_pair(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
-    """Decide whether the only common positive minorant of s and t is zero.
-
-    Primary criterion: trace(s:t) below conv_tol relative to the input traces.
-    Cross-checked against dim(range s intersect range t) = 0 computed from the
-    range projections (taken at the pair's joint scale, so roundoff ghosts of
-    zero carry no rank); disagreement between the two raises ConsistencyError,
-    signalling a tolerance misconfiguration rather than an answer.  The rank
-    of P_s + P_t is read off the Gram matrix of the two range bases, which
-    has the same nonzero eigenvalues.
-    """
+def _singularity(
+    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig
+) -> Tuple[bool, PsdMatrix]:
+    """The singularity verdict of ``is_singular_pair`` with the parallel sum it
+    was read from."""
     mean = parallel_sum(s, t, cfg)
     trace_says = trace(mean) <= cfg.conv_tol * max(1.0, trace(s), trace(t))
 
@@ -124,7 +198,21 @@ def is_singular_pair(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_
             f"{range_says}; tolerances are misconfigured for this pair",
             details={"parallel_sum_trace": trace(mean), "intersection_dim": intersection_dim},
         )
-    return trace_says
+    return trace_says, mean
+
+
+def is_singular_pair(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+    """Decide whether the only common positive minorant of s and t is zero.
+
+    Primary criterion: trace(s:t) below conv_tol relative to the input traces.
+    Cross-checked against dim(range s intersect range t) = 0 computed from the
+    range projections (taken at the pair's joint scale, so roundoff ghosts of
+    zero carry no rank); disagreement between the two raises ConsistencyError,
+    signalling a tolerance misconfiguration rather than an answer.  The rank
+    of P_s + P_t is read off the Gram matrix of the two range bases, which
+    has the same nonzero eigenvalues.
+    """
+    return _singularity(s, t, cfg)[0]
 
 
 def nonzero_common_minorant(
@@ -133,8 +221,8 @@ def nonzero_common_minorant(
     """A witness R != 0 with R <= s and R <= t, or None when the pair is singular.
 
     The parallel sum itself is the witness: it is always a common minorant and
-    is nonzero exactly on non-singular pairs.
+    is nonzero exactly on non-singular pairs.  It is the one the singularity
+    test has already computed.
     """
-    if is_singular_pair(s, t, cfg):
-        return None
-    return parallel_sum(s, t, cfg)
+    singular, mean = _singularity(s, t, cfg)
+    return None if singular else mean

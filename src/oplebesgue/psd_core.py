@@ -228,14 +228,18 @@ def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Decide a <= b in the Loewner order.
 
     True iff the smallest eigenvalue of b - a stays above
-    -psd_tol * max(1, lambda_max(b)).
+    -psd_tol * max(1, lambda_max(b)); lambda_max(b) comes from the cached
+    spectrum when b is a PsdMatrix.
     """
     arr_a, arr_b = _as_array(a), _as_array(b)
     _require_same_dim(arr_a, arr_b)
     if arr_a.size == 0:
         return True
     diff_min = float(np.linalg.eigvalsh(arr_b - arr_a)[0])
-    lam_max_b = float(np.linalg.eigvalsh(arr_b)[-1])
+    if isinstance(b, PsdMatrix):
+        lam_max_b = b.lam_max
+    else:
+        lam_max_b = float(np.linalg.eigvalsh(arr_b)[-1])
     return diff_min >= -cfg.psd_tol * max(1.0, lam_max_b)
 
 

@@ -1,7 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from oplebesgue import (
+    ConsistencyError,
     ConvergenceError,
     PsdMatrix,
     ToleranceConfig,
@@ -20,6 +23,9 @@ from oplebesgue import (
     uniqueness_certificate,
 )
 from conftest import make_rng, random_psd, random_unitary
+
+lebesgue = importlib.import_module("oplebesgue.lebesgue")
+_ScaledParallelSums = importlib.import_module("oplebesgue.parallel_sum")._ScaledParallelSums
 
 DIAG10 = PsdMatrix(np.diag([1.0, 0.0]))
 ONES = PsdMatrix(np.ones((2, 2)))
@@ -96,6 +102,123 @@ class TestIterative:
         bounds = [step.c_bound for step in record.steps]
         assert all(np.isfinite(bounds))
         assert all(b > a for a, b in zip(bounds, bounds[1:]))
+
+
+def dense_steps(s, t, steps, cfg=ToleranceConfig()):
+    """Dense oracle for the weight-space iteration: each step's trace,
+    trace-norm gap to the next approximant and domination constant, computed
+    from the n x n approximants."""
+    family = _ScaledParallelSums(s, t, cfg)
+    out = []
+    for step in steps:
+        current = family.at_scale(step.scale)
+        following = family.at_scale(2.0 * step.scale)
+        out.append((
+            float(np.trace(current).real),
+            trace_norm(following - current),
+            lebesgue._domination_constant(current, t, cfg),
+        ))
+    return out
+
+
+class TestFactoredIteration:
+    @pytest.mark.parametrize("dim", [8, 32, 64])
+    @pytest.mark.parametrize(
+        "ranks",
+        [(0.75, 0.75), (0.5, 0.5), (0.75, 1.0)],
+        ids=["generic", "singular", "full-rank-T"],
+    )
+    def test_dense_oracle(self, dim, ranks):
+        # The dense traces and gaps carry roundoff of order n eps trace(S); the
+        # dense domination constant is accurate to about eps kappa(T), relative
+        # to lambda_max(S) / lambda_min(T), the scale of any S_k <= S against T.
+        eps = np.finfo(float).eps
+        rng = make_rng(28)
+        rank_s, rank_t = (int(share * dim) for share in ranks)
+        for _ in range(3):
+            s = random_psd(rng, dim, rank=rank_s)
+            t = random_psd(rng, dim, rank=rank_t)
+            _, record = ac_part_iterative(s, t)
+            assert (len(record.steps) == 1) == (ranks == (0.5, 0.5))
+            size = np.trace(s.array).real
+            lam_min_t = t.eigenvalues[t.rank() - 1]
+            c_tol = 100 * eps * (t.lam_max / lam_min_t) * (s.lam_max / lam_min_t)
+            for step, (tr, gap, c) in zip(record.steps, dense_steps(s, t, record.steps)):
+                assert abs(step.trace - tr) <= 1e-13 * size
+                assert step.gap >= 0.0
+                assert abs(step.gap - gap) <= 1e-13 * size
+                assert abs(step.c_bound - c) <= c_tol
+
+    def test_approximants_are_built_from_the_family(self):
+        rng = make_rng(30)
+        s, t = random_psd(rng, 12, rank=9), random_psd(rng, 12, rank=9)
+        _, record = ac_part_iterative(s, t)
+        family = _ScaledParallelSums(s, t, ToleranceConfig())
+        assert len(record.steps) > 1
+        for step in record.steps:
+            assert np.array_equal(step.approximant.array, family.at_scale(step.scale))
+
+    @pytest.mark.parametrize("breakage, diagnosis", [
+        ("flipped back column", "not a PSD term"),
+        ("weight above one", "weights leave"),
+        ("negative weight", "weights leave"),
+    ])
+    def test_broken_family_is_rejected(self, monkeypatch, breakage, diagnosis):
+        # rejected by the structural check at construction, before any step
+        def mutate(family):
+            j = int(np.argmax(np.linalg.norm(family._back, axis=0)))
+            if breakage == "flipped back column":
+                family._back[:, j] *= -1.0
+            else:
+                family._weights = family._weights.copy()
+                family._weights[j] = 1.5 if breakage == "weight above one" else -0.5
+
+        class Broken(_ScaledParallelSums):
+            def _certify(self, joint, cfg):
+                mutate(self)
+                return super()._certify(joint, cfg)
+
+        rng = make_rng(31)
+        s, t = random_psd(rng, 16, rank=12), random_psd(rng, 16, rank=12)
+        monkeypatch.setattr(lebesgue, "_ScaledParallelSums", Broken)
+        with pytest.raises(ConsistencyError, match=diagnosis):
+            ac_part_iterative(s, t)
+
+    def test_returned_pair_is_checked_densely(self, monkeypatch):
+        # faults the structural check cannot see: members that shrink with the
+        # scale, and a domination constant too small to dominate
+        class Shrinking(_ScaledParallelSums):
+            def at_scale(self, scale):
+                return super().at_scale(scale) / scale
+
+        class Undercounting(_ScaledParallelSums):
+            def domination_at(self, scale):
+                return super().domination_at(scale) / 2
+
+        rng = make_rng(31)
+        s, t = random_psd(rng, 16, rank=12), random_psd(rng, 16, rank=12)
+        monkeypatch.setattr(lebesgue, "_ScaledParallelSums", Shrinking)
+        with pytest.raises(ConsistencyError, match="not monotone"):
+            ac_part_iterative(s, t)
+        monkeypatch.setattr(lebesgue, "_ScaledParallelSums", Undercounting)
+        _, record = ac_part_iterative(s, t)
+        assert record.steps[-1].c_bound == np.inf
+
+    def test_dense_spectral_calls_do_not_depend_on_steps(self, monkeypatch):
+        rng = make_rng(29)
+        s_long, t_long = random_psd(rng, 32, rank=24), random_psd(rng, 32, rank=24)
+        s_short, t_short = random_psd(rng, 32, rank=16), random_psd(rng, 32, rank=16)
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        _, long_record = ac_part_iterative(s_long, t_long)
+        long_calls = sorted(calls)
+        calls.clear()
+        _, short_record = ac_part_iterative(s_short, t_short)
+        assert len(long_record.steps) > 30 and len(short_record.steps) == 1
+        assert long_calls == sorted(calls)
 
 
 class TestClosed:

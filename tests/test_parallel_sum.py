@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from oplebesgue import (
     trace,
 )
 from conftest import make_rng, random_psd, random_unitary
+
+# the package re-exports the function parallel_sum under the module's name
+parallel_sum_module = importlib.import_module("oplebesgue.parallel_sum")
 
 
 def diagonal_oracle(s, t):
@@ -152,6 +157,24 @@ class TestSingularity:
                 assert trace(witness) > 0
                 assert loewner_leq(witness, s)
                 assert loewner_leq(witness, t)
+
+    def test_minorant_factors_the_pair_once(self, monkeypatch):
+        # the witness is the parallel sum the singularity test already computed
+        built = []
+
+        class Counting(parallel_sum_module._ScaledParallelSums):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(parallel_sum_module, "_ScaledParallelSums", Counting)
+        rng = make_rng(27)
+        s, t = random_psd(rng, 8, rank=6), random_psd(rng, 8, rank=6)
+        assert nonzero_common_minorant(s, t) is not None
+        assert len(built) == 1
+        e1, e2 = PsdMatrix(np.diag([1.0, 0.0])), PsdMatrix(np.diag([0.0, 1.0]))
+        assert nonzero_common_minorant(e1, e2) is None
+        assert len(built) == 2
 
     def test_minorant_examples(self):
         assert nonzero_common_minorant(

@@ -179,6 +179,20 @@ class TestLoewner:
             s = random_psd(rng, int(rng.integers(1, 10)))
             assert loewner_leq(np.zeros((s.dim, s.dim)), s)
 
+    def test_psd_upper_operand_reuses_its_spectrum(self, monkeypatch):
+        # lambda_max(b) comes from the cached spectrum: one eigvalsh, of b - a
+        rng = make_rng(16)
+        pairs = []
+        for _ in range(20):
+            dim = int(rng.integers(1, 10))
+            pairs.append((random_hermitian(rng, dim), random_psd(rng, dim)))
+        expected = [loewner_leq(a, b.array) for a, b in pairs]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        assert [loewner_leq(a, b) for a, b in pairs] == expected
+        assert len(calls) == len(pairs)
+
 
 class TestTraceFunctionals:
     def test_trace_norm_of_psd_is_trace(self):
