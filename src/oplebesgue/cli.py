@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -53,12 +54,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _config(args) -> ToleranceConfig:
-    return ToleranceConfig(
-        psd_tol=args.psd_tol,
-        rank_cutoff=ToleranceConfig().rank_cutoff,
-        conv_tol=args.tol,
-        max_iters=args.max_iters,
-    )
+    return ToleranceConfig(psd_tol=args.psd_tol, conv_tol=args.tol, max_iters=args.max_iters)
 
 
 def _load_json(path: str):
@@ -84,6 +80,15 @@ def _sniff_kind(obj) -> str:
     raise ValidationError("input JSON is neither a matrix, a sequence, nor a functional")
 
 
+def _load_pair(path_s: str, path_t: str):
+    """Both operand files of a pair command: (kind, (obj_s, digest_s), (obj_t, digest_t))."""
+    loaded_s, loaded_t = _load_json(path_s), _load_json(path_t)
+    kind_s, kind_t = _sniff_kind(loaded_s[0]), _sniff_kind(loaded_t[0])
+    if kind_s != kind_t:
+        raise ValidationError(f"input kinds do not match: {kind_s} vs {kind_t}")
+    return kind_s, loaded_s, loaded_t
+
+
 def _echo(obj, kind: str, digest: str) -> dict:
     if kind == "matrix":
         return {"sha256": digest, "kind": kind, "dim": obj.dim}
@@ -101,56 +106,36 @@ def _json_number(value):
     return value
 
 
-def _write_atomic(path: str, data: str):
+def _write_atomic(path: str, data: str, quiet: bool):
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(data)
     os.replace(tmp, path)
-
-
-def _write_report(path: str, report: dict, quiet: bool):
-    _write_atomic(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     if not quiet:
         print(f"wrote {path}")
 
 
-def _tolerance_block(args) -> dict:
-    return {
-        "psd_tol": args.psd_tol,
-        "rank_cutoff": ToleranceConfig().rank_cutoff,
-        "conv_tol": args.tol,
-        "max_iters": args.max_iters,
-        "truncate": args.truncate,
-        "seed": args.seed,
-    }
-
-
-def _iterations_block(trace) -> list:
-    return [{"k": step.k, "gap": step.gap} for step in trace.steps]
+def _write_report(path: str, report: dict, quiet: bool):
+    _write_atomic(path, json.dumps(report, sort_keys=True, indent=2) + "\n", quiet)
 
 
 def cmd_decompose(args) -> int:
     cfg = _config(args)
-    obj_s, digest_s = _load_json(args.s_path)
-    obj_t, digest_t = _load_json(args.t_path)
-    kind_s, kind_t = _sniff_kind(obj_s), _sniff_kind(obj_t)
-    if kind_s != kind_t:
-        raise ValidationError(f"input kinds do not match: {kind_s} vs {kind_t}")
+    kind, (obj_s, digest_s), (obj_t, digest_t) = _load_pair(args.s_path, args.t_path)
     started = time.perf_counter()
-    if kind_s == "matrix":
-        s = psd_from_json(obj_s, cfg)
-        t = psd_from_json(obj_t, cfg)
+    if kind == "matrix":
+        s, t = psd_from_json(obj_s, cfg), psd_from_json(obj_t, cfg)
         dec = decompose(s, t, cfg)
+        steps = dec.trace_of_iteration.steps
         body = {
             "ac": matrix_to_json(dec.ac),
             "sing": matrix_to_json(dec.sing),
             "unique": dec.uniqueness.unique,
             "c": _json_number(dec.uniqueness.c),
-            "iterations": _iterations_block(dec.trace_of_iteration),
+            "iterations": [{"k": step.k, "gap": step.gap} for step in steps],
         }
-    elif kind_s == "sequence":
-        s = sequence_from_json(obj_s)
-        t = sequence_from_json(obj_t)
+    elif kind == "sequence":
+        s, t = sequence_from_json(obj_s), sequence_from_json(obj_t)
         ac, sing = diag_decompose(s, t)
         unique, ratio_cert = diag_uniqueness(s, t)
         body = {
@@ -163,8 +148,8 @@ def cmd_decompose(args) -> int:
     else:
         raise ValidationError("decompose expects matrix or sequence inputs, not functionals")
     report = {
-        "inputs": {"s": _echo(s, kind_s, digest_s), "t": _echo(t, kind_t, digest_t)},
-        "tolerances": _tolerance_block(args),
+        "inputs": {"s": _echo(s, kind, digest_s), "t": _echo(t, kind, digest_t)},
+        "tolerances": {**dataclasses.asdict(cfg), "truncate": args.truncate, "seed": args.seed},
         "decomposition": body,
         "timing": {"elapsed_seconds": time.perf_counter() - started},
     }
@@ -211,15 +196,10 @@ def cmd_counterexample(args) -> int:
 
 def cmd_converge_report(args) -> int:
     cfg = _config(args)
-    obj_s, _ = _load_json(args.s_path)
-    obj_t, _ = _load_json(args.t_path)
-    kind_s, kind_t = _sniff_kind(obj_s), _sniff_kind(obj_t)
-    if kind_s != kind_t:
-        raise ValidationError(f"input kinds do not match: {kind_s} vs {kind_t}")
-    if kind_s == "matrix":
-        s = psd_from_json(obj_s, cfg)
-        t = psd_from_json(obj_t, cfg)
-    elif kind_s == "sequence":
+    kind, (obj_s, _), (obj_t, _) = _load_pair(args.s_path, args.t_path)
+    if kind == "matrix":
+        s, t = psd_from_json(obj_s, cfg), psd_from_json(obj_t, cfg)
+    elif kind == "sequence":
         s = truncate_to_matrix(sequence_from_json(obj_s), args.truncate, cfg)
         t = truncate_to_matrix(sequence_from_json(obj_t), args.truncate, cfg)
     else:
@@ -230,9 +210,7 @@ def cmd_converge_report(args) -> int:
     writer.writerow(["k", "n", "gap_trace", "c_bound"])
     for step in trace.steps:
         writer.writerow([step.k, int(step.scale), repr(step.gap), repr(step.c_bound)])
-    _write_atomic(args.csv_path, buffer.getvalue())
-    if not args.quiet:
-        print(f"wrote {args.csv_path}")
+    _write_atomic(args.csv_path, buffer.getvalue(), args.quiet)
     return EXIT_OK
 
 

@@ -43,6 +43,7 @@ from .psd_core import (
     HermitianMatrix,
     PsdMatrix,
     ToleranceConfig,
+    _computed_psd,
     loewner_leq,
     op_norm,
     range_contained,
@@ -83,7 +84,7 @@ class IterationStep:
 
     @property
     def approximant(self) -> PsdMatrix:
-        return PsdMatrix(self.family.at_scale(self.scale), self.cfg)
+        return _computed_psd(self.family.at_scale(self.scale), self.cfg, f"approximant k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,10 @@ def _domination_constant(candidate: np.ndarray, t: PsdMatrix, cfg: ToleranceConf
 
 
 def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix, cfg: ToleranceConfig) -> float:
-    """c when the Loewner check accepts candidate <= c T, inf otherwise."""
-    return c if loewner_leq(candidate, c * t.array, cfg) else math.inf
+    """c if the Loewner check accepts candidate <= c T, inf otherwise; c T reuses T's spectrum."""
+    scaled = _computed_psd(c * t.array, cfg,
+                           spectrum=(c * t.eigenvalues, t.spectrum.eigenvectors))
+    return c if loewner_leq(candidate, scaled, cfg) else math.inf
 
 
 def ac_part_iterative(
@@ -166,10 +169,8 @@ def ac_part_iterative(
             steps.append(step)
             continue
         current = family.at_scale(scale)
-        try:
-            limit = PsdMatrix(family.at_scale(2.0 * scale), cfg)
-        except ValidationError as exc:
-            raise ConsistencyError(f"limit of the monotone approximation: {exc}") from exc
+        limit = _computed_psd(family.at_scale(2.0 * scale), cfg,
+                              "limit of the monotone approximation")
         if not loewner_leq(current, limit, cfg):
             raise ConsistencyError(
                 f"approximant sequence is not monotone at step k={k}",
@@ -199,8 +200,7 @@ def ac_part_closed(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CO
     null_rows = sv <= _KERNEL_RTOL * math.sqrt(max(s.lam_max, 0.0))
     kernel_basis = vh[null_rows, :].conj().T
     projector = kernel_basis @ kernel_basis.conj().T
-    ac = root.array @ projector @ root.array
-    return PsdMatrix((ac + ac.conj().T) / 2, cfg)
+    return _computed_psd(root.array @ projector @ root.array, cfg, "closed-form regular part")
 
 
 def decompose(
@@ -227,7 +227,7 @@ def decompose(
             details={"iterative": iterative, "closed": closed},
         )
     ac = closed
-    sing = PsdMatrix(s.array - ac.array, cfg)
+    sing = _computed_psd(s.array - ac.array, cfg, "singular part")
     residual = trace_norm(HermitianMatrix(ac.array + sing.array - s.array))
     residual /= max(1.0, trace_norm(s))
     if residual > ADDITIVITY_RTOL:
@@ -236,15 +236,10 @@ def decompose(
         raise ConsistencyError("computed singular part is not singular to the reference operator")
     if not range_contained(ac, t, cfg):
         raise ConsistencyError("regular part leaks outside the range of the reference operator")
-    c = is_dominated(ac, t, cfg)
-    if c is None:
-        uniqueness = UniquenessCertificate(
-            unique=False,
-            c=math.inf,
-            witness="regular part admits no finite domination constant",
-        )
-    else:
-        uniqueness = UniquenessCertificate(unique=True, c=c)
+    c = _domination_constant(ac.array, t, cfg)
+    unique = math.isfinite(c)
+    witness = None if unique else "regular part admits no finite domination constant"
+    uniqueness = UniquenessCertificate(unique=unique, c=c, witness=witness)
     return LebesgueDecomposition(
         ac=ac, sing=sing, trace_of_iteration=record, uniqueness=uniqueness
     )

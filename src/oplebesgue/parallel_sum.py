@@ -6,7 +6,8 @@ ranges intersect trivially -- which makes trace(S:T) a quantitative witness
 for mutual singularity.  On commuting diagonals it reduces to the entrywise
 scalar formula s*t/(s+t).  Every parallel sum in the package, the scaled
 family (n T) : S of the monotone approximation included, comes from the one
-factored engine ``_ScaledParallelSums``.
+factored engine ``_ScaledParallelSums``; the singularity test reads trace(S:T)
+off its certified weights and forms the n x n parallel sum only to return it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .psd_core import (
     DEFAULT_CONFIG,
     PsdMatrix,
     ToleranceConfig,
+    _computed_psd,
     joint_scale,
     rank_at_scale,
     trace,
@@ -169,16 +171,17 @@ class _ScaledParallelSums:
 def parallel_sum(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Parallel sum S:T = S (S+T)^+ T, the unit-scale member of the factored
     family, so no pseudoinverse of S + T is ever formed."""
-    return PsdMatrix(_ScaledParallelSums(s, t, cfg).at_scale(1.0), cfg)
+    return _computed_psd(_ScaledParallelSums(s, t, cfg).at_scale(1.0), cfg, "parallel sum")
 
 
 def _singularity(
     s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig
-) -> Tuple[bool, PsdMatrix]:
-    """The singularity verdict of ``is_singular_pair`` with the parallel sum it
-    was read from."""
-    mean = parallel_sum(s, t, cfg)
-    trace_says = trace(mean) <= cfg.conv_tol * max(1.0, trace(s), trace(t))
+) -> Tuple[bool, _ScaledParallelSums]:
+    """The singularity verdict of ``is_singular_pair`` with the parallel-sum
+    family it was read from."""
+    family = _ScaledParallelSums(s, t, cfg)
+    mean_trace = family.trace_at(1.0)
+    trace_says = mean_trace <= cfg.conv_tol * max(1.0, trace(s), trace(t))
 
     scale = joint_scale(s, t)
     k_s = rank_at_scale(s.eigenvalues, scale, cfg)
@@ -196,15 +199,16 @@ def _singularity(
             "singularity criteria disagree: trace of parallel sum says "
             f"{trace_says}, range intersection of dimension {intersection_dim} says "
             f"{range_says}; tolerances are misconfigured for this pair",
-            details={"parallel_sum_trace": trace(mean), "intersection_dim": intersection_dim},
+            details={"parallel_sum_trace": mean_trace, "intersection_dim": intersection_dim},
         )
-    return trace_says, mean
+    return trace_says, family
 
 
 def is_singular_pair(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Decide whether the only common positive minorant of s and t is zero.
 
-    Primary criterion: trace(s:t) below conv_tol relative to the input traces.
+    Primary criterion: trace(s:t) below conv_tol relative to the input traces,
+    read off the weights of the factored parallel sum without forming it.
     Cross-checked against dim(range s intersect range t) = 0 computed from the
     range projections (taken at the pair's joint scale, so roundoff ghosts of
     zero carry no rank); disagreement between the two raises ConsistencyError,
@@ -221,8 +225,8 @@ def nonzero_common_minorant(
     """A witness R != 0 with R <= s and R <= t, or None when the pair is singular.
 
     The parallel sum itself is the witness: it is always a common minorant and
-    is nonzero exactly on non-singular pairs.  It is the one the singularity
-    test has already computed.
+    is nonzero exactly on non-singular pairs.  It comes from the family the
+    singularity test has already factored, and is built only when returned.
     """
-    singular, mean = _singularity(s, t, cfg)
-    return None if singular else mean
+    singular, family = _singularity(s, t, cfg)
+    return None if singular else _computed_psd(family.at_scale(1.0), cfg, "parallel sum")

@@ -9,6 +9,9 @@ The operators here are finite-dimensional stand-ins for positive trace-class
 operators: the trace norm is the natural size measure and every rank decision
 is made relative to the largest eigenvalue, never in absolute terms, so that
 rescaling an operator can never change its computed rank.
+
+``PsdMatrix(...)`` is the gate for outside input; operators the package
+computes are built by ``_computed_psd`` and fail as numerical faults.
 """
 
 from __future__ import annotations
@@ -199,29 +202,49 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray):
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def _computed_psd(array, cfg: ToleranceConfig, what: str = "", spectrum=None) -> PsdMatrix:
+    """An operator the package computed, Hermitian by construction up to the
+    roundoff its average (A + A*)/2 removes.  ``spectrum`` is an (eigenvalues,
+    eigenvectors) pair from a verified factorization; it is stored sorted
+    descending and nothing is factored again.  Without one the array is checked
+    like input, but a failure is a ConsistencyError naming ``what``."""
+    array = (array + array.conj().T) / 2
+    if spectrum is None:
+        try:
+            return PsdMatrix(array, cfg)
+        except (ValidationError, ConsistencyError) as exc:
+            raise ConsistencyError(f"{what}: {exc}") from exc
+    w, V = spectrum
+    order = np.argsort(-w, kind="stable")
+    psd = object.__new__(PsdMatrix)
+    psd._array = _frozen(array)
+    psd._spectrum = SpectralDecomp(_frozen(w[order]), _frozen(V[:, order]))
+    return psd
+
+
 def sqrt_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Positive square root via the cached spectral form."""
     psd = _as_psd(matrix, cfg)
-    decomp = psd.spectrum
-    V = decomp.eigenvectors
-    root = (V * np.sqrt(decomp.eigenvalues)) @ V.conj().T
-    return PsdMatrix(root, cfg)
+    V, root_w = psd.spectrum.eigenvectors, np.sqrt(psd.eigenvalues)
+    return _computed_psd((V * root_w) @ V.conj().T, cfg, spectrum=(root_w, V))
 
 
 def pinv_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Moore-Penrose pseudoinverse with eigenvalues below the rank cutoff zeroed."""
     psd = _as_psd(matrix, cfg)
     k = psd.rank(cfg)
-    V = psd.spectrum.eigenvectors[:, :k]
-    return PsdMatrix((V / psd.eigenvalues[:k]) @ V.conj().T, cfg)
+    V, inverse_w = psd.spectrum.eigenvectors, np.zeros(psd.dim)
+    inverse_w[:k] = 1.0 / psd.eigenvalues[:k]
+    return _computed_psd((V[:, :k] / psd.eigenvalues[:k]) @ V[:, :k].conj().T, cfg,
+                         spectrum=(inverse_w, V))
 
 
 def range_projection(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Orthogonal projection onto the numerical range (eigenvalues above cutoff)."""
     psd = _as_psd(matrix, cfg)
     k = psd.rank(cfg)
-    V = psd.spectrum.eigenvectors[:, :k]
-    return PsdMatrix(V @ V.conj().T, cfg)
+    V, unit_w = psd.spectrum.eigenvectors, (np.arange(psd.dim) < k).astype(float)
+    return _computed_psd(V[:, :k] @ V[:, :k].conj().T, cfg, spectrum=(unit_w, V))
 
 
 def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:

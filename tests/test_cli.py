@@ -248,3 +248,74 @@ class TestSubprocessEntry:
         code, stdout, _ = run_cli(["decompose", DATA / "s_ones.json",
                                    DATA / "t_diag10.json", out], capsys)
         assert code == 0 and str(out) in stdout
+
+
+def _gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _gram(factor):
+    a = factor @ factor.conj().T / factor.shape[0]
+    return (a + a.conj().T) / 2
+
+
+def _scaled_pair(structure, dim, seed):
+    """Complex PSD pair: independent ranges of 3/4 the dimension ("generic"),
+    half-dimensional ranges at principal angles in [0.1, pi/2) ("singular"),
+    or a half-rank S against a full-rank T ("full_rank_t")."""
+    rng = np.random.default_rng([seed, dim])
+    if structure == "generic":
+        return _gram(_gaussian(rng, dim, 3 * dim // 4)), _gram(_gaussian(rng, dim, 3 * dim // 4))
+    if structure == "full_rank_t":
+        return _gram(_gaussian(rng, dim, dim // 2)), _gram(_gaussian(rng, dim, dim))
+    rank = dim // 2
+    q, _ = np.linalg.qr(_gaussian(rng, dim, dim))
+    angles = rng.uniform(0.1, np.pi / 2, rank)
+    range_s = q[:, :rank]
+    range_t = range_s * np.cos(angles) + q[:, rank:2 * rank] * np.sin(angles)
+    return (_gram(range_s @ _gaussian(rng, rank, 3 * rank // 2)),
+            _gram(range_t @ _gaussian(rng, rank, 3 * rank // 2)))
+
+
+def _write_matrix(path, a):
+    path.write_text(json.dumps({"dim": a.shape[0], "real": a.real.tolist(),
+                                "imag": a.imag.tolist()}))
+
+
+RESCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+
+# What a computed-operator failure may name: the operators decompose builds.
+COMPUTED_OPERATORS = ("regular part", "singular part", "monotone approximation",
+                      "parallel-sum", "parallel sum")
+
+
+class TestValidInputNeverExits2:
+    """A valid pair at any rescale exits 0 or 3, never 2 ("invalid input"):
+    a computed operator that misses its PSD band is a numerical fault."""
+
+    @pytest.mark.parametrize("structure, dim, seed, former_exit_2", [
+        ("generic", 16, 0, {}),
+        # closed-form regular part outside its band at (1e8, 1e-8)
+        ("singular", 8, 0, {(1e8, 1e-8): "closed-form regular part"}),
+        # singular part outside its band at (1e4, 1e4)
+        ("full_rank_t", 32, 1, {(1e4, 1e4): "singular part"}),
+    ])
+    def test_exit_codes_over_rescales(self, tmp_path, capsys, structure, dim, seed,
+                                      former_exit_2):
+        s, t = _scaled_pair(structure, dim, seed)
+        for alpha in RESCALES:
+            for beta in RESCALES:
+                s_path, t_path = tmp_path / "s.json", tmp_path / "t.json"
+                _write_matrix(s_path, alpha * s)
+                _write_matrix(t_path, beta * t)
+                code, _, err = run_cli(["--quiet", "decompose", s_path, t_path,
+                                        tmp_path / "r.json"], capsys)
+                where = f"{structure} at ({alpha:g}, {beta:g}): {err.strip()}"
+                assert code in (0, 3), where
+                if code == 3:
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error: "), where
+                    assert any(name in lines[0] for name in COMPUTED_OPERATORS), where
+                if (alpha, beta) in former_exit_2:
+                    assert code == 3, where
+                    assert err.startswith(f"error: {former_exit_2[alpha, beta]}: "), where

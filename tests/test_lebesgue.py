@@ -424,3 +424,48 @@ class TestExtremality:
         big = PsdMatrix(np.ones((2, 2)))
         with pytest.raises(ValidationError, match="absolutely continuous"):
             extremality_check(big, PsdMatrix(2 * np.ones((2, 2))), DIAG10)
+
+
+class TestSpectralBudget:
+    """Each operand and the pair are factored once; computed operators reuse
+    the spectrum in hand instead of being factored again."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("rank", [24, 16], ids=["generic", "singular"])
+    def test_decompose(self, monkeypatch, rank):
+        rng = make_rng(44)
+        s, t = random_psd(rng, 32, rank=rank), random_psd(rng, 32, rank=rank)
+        assert is_singular_pair(s, t) == (rank == 16)
+        calls = self.counting(monkeypatch)
+        assert decompose(s, t).uniqueness.unique
+        # eigh: the engine twice in the iteration and twice in the singularity
+        # test, and PsdMatrix of the limit, the closed form and the singular part
+        assert calls.count("eigh") == 7
+        assert calls.count("eigvalsh") == 9
+
+    def test_verified_bound_reads_lambda_max_of_c_t_from_t(self, monkeypatch):
+        rng = make_rng(45)
+        cases = []
+        for _ in range(20):
+            dim = int(rng.integers(2, 12))
+            t = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            candidate = float(rng.uniform(0.0, 2.0)) * t.array
+            c = float(rng.uniform(0.0, 3.0))
+            cases.append((candidate, c, t))
+        expected = [c if loewner_leq(a, c * t.array) else np.inf for a, c, t in cases]
+        calls = self.counting(monkeypatch)
+        assert [lebesgue._verified_bound(a, c, t, ToleranceConfig()) for a, c, t in cases] == expected
+        assert calls == ["eigvalsh"] * len(cases)
+
+    def test_unbounded_constant_gives_a_non_unique_certificate(self, monkeypatch):
+        monkeypatch.setattr(lebesgue, "_domination_constant", lambda *args: np.inf)
+        cert = decompose(ONES, EYE2).uniqueness
+        assert not cert.unique and cert.c == np.inf and "domination" in cert.witness

@@ -12,6 +12,7 @@ from oplebesgue import (
     parallel_sum,
     trace,
 )
+from oplebesgue.psd_core import DEFAULT_CONFIG
 from conftest import make_rng, random_psd, random_unitary
 
 # the package re-exports the function parallel_sum under the module's name
@@ -184,3 +185,45 @@ class TestSingularity:
         np.testing.assert_allclose(half.array, np.eye(2) / 2, atol=1e-13)
         again = nonzero_common_minorant(PsdMatrix(np.diag([1.0, 2.0])), PsdMatrix(np.diag([2.0, 2.0])))
         np.testing.assert_allclose(again.array, np.diag([2.0 / 3.0, 1.0]), atol=1e-12)
+
+
+class TestSingularityReadsTheWeights:
+    """is_singular_pair reads trace(S:T) off the factored family: it builds no
+    n x n parallel sum, and the witness is built only when it is returned."""
+
+    @staticmethod
+    def pairs():
+        rng = make_rng(28)
+        return [(random_psd(rng, dim, rank=rank), random_psd(rng, dim, rank=rank))
+                for dim, rank in ((8, 6), (16, 8), (32, 16), (32, 32))]
+
+    def test_spectral_calls(self, monkeypatch):
+        pairs = self.pairs()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
+        for s, t in pairs:
+            calls.clear()
+            is_singular_pair(s, t)
+            # the engine's Gram and overlap eigh, the range-join eigvalsh
+            assert sorted(calls) == ["eigh", "eigh", "eigvalsh"]
+
+    def test_weight_trace_matches_the_dense_oracle(self):
+        for s, t in self.pairs():
+            weights = parallel_sum_module._ScaledParallelSums(s, t, DEFAULT_CONFIG).trace_at(1.0)
+            dense = trace(dense_oracle(s.array, t.array))
+            assert abs(weights - dense) <= 1e-12 * (trace(s) + trace(t))
+
+    def test_witness_built_only_for_non_singular_pairs(self, monkeypatch):
+        built = []
+        at_scale = parallel_sum_module._ScaledParallelSums.at_scale
+        monkeypatch.setattr(parallel_sum_module._ScaledParallelSums, "at_scale",
+                            lambda self, scale: built.append(scale) or at_scale(self, scale))
+        e1, e2 = PsdMatrix(np.diag([1.0, 0.0])), PsdMatrix(np.diag([0.0, 1.0]))
+        assert nonzero_common_minorant(e1, e2) is None
+        assert is_singular_pair(*self.pairs()[0]) is False
+        assert built == []
+        assert nonzero_common_minorant(*self.pairs()[0]) is not None
+        assert built == [1.0]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplebesgue import (
+    ConsistencyError,
     HermitianMatrix,
     PsdMatrix,
     ToleranceConfig,
@@ -24,6 +25,7 @@ from oplebesgue import (
     trace,
     trace_norm,
 )
+from oplebesgue.psd_core import DEFAULT_CONFIG, SPECTRAL_TOL, _computed_psd
 from conftest import make_rng, random_hermitian, random_psd, random_unitary
 
 ONES2 = np.ones((2, 2))
@@ -283,3 +285,80 @@ class TestJson:
     def test_rejects_malformed(self, blob):
         with pytest.raises(ValidationError):
             hermitian_from_json(blob)
+
+
+class TestComputedOperators:
+    """sqrt_psd, pinv_psd and range_projection are built from the spectrum
+    already in hand: no new factorization, a descending spectrum that
+    reconstructs the array, and the array of the plain spectral formula."""
+
+    @staticmethod
+    def formulas(a):
+        """Each operator's spectral formula, Hermitian-averaged like any PsdMatrix."""
+        w, V = a.eigenvalues, a.spectrum.eigenvectors
+        k = a.rank()
+        raw = {
+            sqrt_psd: (V * np.sqrt(w)) @ V.conj().T,
+            pinv_psd: (V[:, :k] / w[:k]) @ V[:, :k].conj().T,
+            range_projection: V[:, :k] @ V[:, :k].conj().T,
+        }
+        return {op: (r + r.conj().T) / 2 for op, r in raw.items()}
+
+    @staticmethod
+    def cases():
+        rng = make_rng(31)
+        return [random_psd(rng, dim, rank=rank)
+                for dim, rank in ((1, 1), (6, 3), (16, 16), (32, 11), (40, 1))]
+
+    def test_no_factorization(self, monkeypatch):
+        cases = self.cases()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
+        for a in cases:
+            for op in (sqrt_psd, pinv_psd, range_projection):
+                op(a)
+        assert calls == []
+
+    def test_known_spectrum(self):
+        for a in self.cases():
+            for op, expected in self.formulas(a).items():
+                result = op(a)
+                w, V = result.eigenvalues, result.spectrum.eigenvectors
+                assert np.all(np.diff(w) <= 0.0), op.__name__
+                assert np.all(w >= 0.0)
+                norm = max(1.0, np.linalg.norm(result.array))
+                assert np.linalg.norm(result.spectrum.reconstruct() - result.array) <= SPECTRAL_TOL * norm
+                assert np.linalg.norm(V.conj().T @ V - np.eye(a.dim)) <= SPECTRAL_TOL
+                assert np.array_equal(result.array, expected), op.__name__
+                assert not result.array.flags.writeable
+
+    def test_known_spectrum_agrees_with_a_fresh_factorization(self):
+        for a in self.cases():
+            for op in (sqrt_psd, pinv_psd, range_projection):
+                result = op(a)
+                fresh = PsdMatrix(result.array)
+                scale = max(1.0, fresh.lam_max)
+                np.testing.assert_allclose(result.eigenvalues, fresh.eigenvalues, atol=1e-9 * scale)
+                assert result.rank() == fresh.rank()
+
+    def test_checked_failure_names_the_operator(self):
+        # the same array is invalid input through PsdMatrix, a numerical fault when computed
+        negative = np.diag([1.0, -1.0])
+        with pytest.raises(ValidationError):
+            PsdMatrix(negative)
+        with pytest.raises(ConsistencyError, match="^widget: matrix is not positive semidefinite"):
+            _computed_psd(negative, DEFAULT_CONFIG, "widget")
+        with pytest.raises(ConsistencyError, match="^widget: matrix entries must be finite"):
+            _computed_psd(np.diag([1.0, np.nan]), DEFAULT_CONFIG, "widget")
+
+    def test_checked_operator_is_stored_as_its_hermitian_average(self):
+        # a computed operator is Hermitian by construction: its asymmetry is
+        # roundoff, averaged away instead of rejected as it is on input
+        skewed = np.array([[2.0, 1.0 + 1e-6j], [1.0, 2.0]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            PsdMatrix(skewed)
+        built = _computed_psd(skewed, DEFAULT_CONFIG, "widget")
+        assert np.array_equal(built.array, (skewed + skewed.conj().T) / 2)
