@@ -28,10 +28,9 @@ import sys
 import time
 
 from .diagonal import (
+    _diag_split,
     _verified_companion,
     certificate_to_json,
-    diag_decompose,
-    diag_uniqueness,
     sequence_from_json,
     sequence_to_json,
     truncate_to_matrix,
@@ -136,13 +135,12 @@ def cmd_decompose(args) -> int:
         }
     elif kind == "sequence":
         s, t = sequence_from_json(obj_s), sequence_from_json(obj_t)
-        ac, sing = diag_decompose(s, t)
-        unique, ratio_cert = diag_uniqueness(s, t)
+        split = _diag_split(s, t)
         body = {
-            "ac": sequence_to_json(ac),
-            "sing": sequence_to_json(sing),
-            "unique": unique,
-            "c": _json_number(ratio_cert.c),
+            "ac": sequence_to_json(split.ac),
+            "sing": sequence_to_json(split.sing),
+            "unique": split.certificate.bounded,
+            "c": _json_number(split.certificate.c),
             "iterations": [],
         }
     else:

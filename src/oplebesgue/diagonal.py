@@ -12,6 +12,11 @@ schedule.  ``counterexample_pair`` packages that into a pair whose diagonal
 decomposition has no singular part yet admits no domination constant, so its
 decomposition is not unique -- something no matrix pair can exhibit.
 
+Each pair is split once per request: ``_diag_split`` aligns the two prefixes
+once and, in one pass, yields the regular part, the singular part and the
+ratio certificate of the regular part, which decomposition, domination,
+uniqueness and the counterexample check all read.
+
 Floating point imposes a representation boundary: materialized prefix values
 stop at a safety floor (well above the float64 underflow threshold) and the
 tail beyond the horizon is a geometric upper envelope with ratio
@@ -134,25 +139,25 @@ class L1Sequence:
         return head + self.tail.a * self.tail.r ** (offset + 1) / (1.0 - self.tail.r)
 
     def materialized(self, upto: int) -> "L1Sequence":
-        """Equivalent sequence whose prefix covers indices 1..upto.
-
-        A rebased tail whose scale underflows float64 is dropped: its values
-        are not representable and read back as zero anyway.
-        """
-        if upto <= len(self.prefix):
+        """Equivalent sequence whose prefix covers indices 1..upto.  Only the
+        indices past the prefix are built, each by the scalar a * r**j of
+        ``value_at``; a rebased tail whose scale underflows float64 is dropped."""
+        extra = upto - len(self.prefix)
+        if extra <= 0:
             return self
-        body = tuple(self.value_at(n) for n in range(1, upto + 1))
         if self.tail is None:
-            return L1Sequence(body, None)
-        rebased = self.tail.a * self.tail.r ** (upto - len(self.prefix))
-        if rebased <= 0.0:
-            return L1Sequence(body, None)
-        return L1Sequence(body, GeometricTail(rebased, self.tail.r))
+            return _computed_sequence(self.prefix + (0.0,) * extra, None)
+        a, r = self.tail.a, self.tail.r
+        body = self.prefix + tuple(a * r ** j for j in range(1, extra + 1))
+        return _computed_sequence(body, GeometricTail(body[-1], r) if body[-1] > 0.0 else None)
 
 
-def _aligned(s: L1Sequence, t: L1Sequence) -> Tuple[L1Sequence, L1Sequence]:
-    upto = max(s.prefix_len, t.prefix_len)
-    return s.materialized(upto), t.materialized(upto)
+def _computed_sequence(prefix: Tuple[float, ...], tail: Optional[GeometricTail]) -> L1Sequence:
+    """A sequence computed from validated values (finite floats >= 0), so not
+    checked again; input goes through ``L1Sequence(...)``."""
+    seq = object.__new__(L1Sequence)
+    seq.__dict__.update(prefix=prefix, tail=tail)
+    return seq
 
 
 @dataclass(frozen=True)
@@ -206,57 +211,63 @@ class RatioCertificate:
         return self.ratio_at(self.witness_for(bound)) >= bound
 
 
-def diag_decompose(s: L1Sequence, t: L1Sequence) -> Tuple[L1Sequence, L1Sequence]:
-    """Split s into the part carried by the support of t and the rest.
+@dataclass(frozen=True)
+class DiagonalDecomposition:
+    """Split s = ac + sing relative to t, with the ratio certificate of ac
+    against t: bounded exactly when the split is unique."""
 
-    Exact arithmetic on the prefix (each entry goes wholesale to one side);
-    tails are handled structurally: a tail on t absorbs the whole tail of s
-    into the regular part.
-    """
-    s_a, t_a = _aligned(s, t)
-    ac_prefix = tuple(sv if tv > 0 else 0.0 for sv, tv in zip(s_a.prefix, t_a.prefix))
-    sing_prefix = tuple(sv if tv <= 0 else 0.0 for sv, tv in zip(s_a.prefix, t_a.prefix))
-    if t_a.tail is not None:
-        return L1Sequence(ac_prefix, s_a.tail), L1Sequence(sing_prefix, None)
-    return L1Sequence(ac_prefix, None), L1Sequence(sing_prefix, s_a.tail)
+    ac: L1Sequence
+    sing: L1Sequence
+    certificate: RatioCertificate
+
+
+def _diag_split(s: L1Sequence, t: L1Sequence) -> DiagonalDecomposition:
+    """The one split of a pair.  The prefixes are aligned once; one pass sends
+    each entry of s wholesale to ac (t > 0) or sing (t = 0) and takes the
+    largest ratio ac/t.  A tail on t absorbs the whole tail of s into ac; the
+    ratio of two geometric tails is geometric, bounded iff r_s <= r_t, with its
+    supremum at the first tail index."""
+    upto = max(s.prefix_len, t.prefix_len)
+    s_a, t_a = s.materialized(upto), t.materialized(upto)
+    ac, sing, sup = [], [], 0.0
+    for sv, tv in zip(s_a.prefix, t_a.prefix):
+        on_t = tv > 0
+        ac.append(sv if on_t else 0.0)
+        sing.append(0.0 if on_t else sv)
+        if on_t and sv > 0:
+            sup = max(sup, sv / tv)
+    ac_tail, sing_tail = (s_a.tail, None) if t_a.tail is not None else (None, s_a.tail)
+    if ac_tail is not None and ac_tail.r > t_a.tail.r:
+        sup = None
+    elif ac_tail is not None:
+        sup = max(sup, math.exp(s_a.log_value_at(upto + 1) - t_a.log_value_at(upto + 1)))
+    ac_seq = _computed_sequence(tuple(ac), ac_tail)
+    certificate = RatioCertificate(bounded=sup is not None, c=sup, numerator=ac_seq, denominator=t)
+    return DiagonalDecomposition(ac_seq, _computed_sequence(tuple(sing), sing_tail), certificate)
+
+
+def diag_decompose(s: L1Sequence, t: L1Sequence) -> Tuple[L1Sequence, L1Sequence]:
+    """Split s into the part carried by the support of t and the rest, exactly
+    on the prefix (each entry goes wholesale to one side)."""
+    split = _diag_split(s, t)
+    return split.ac, split.sing
 
 
 def diag_is_dominated(s: L1Sequence, t: L1Sequence) -> Optional[float]:
-    """Smallest c with s <= c t entrywise, or None when no such c exists.
-
-    None either on a support violation or when the ratio supremum is infinite;
-    prefix ratios are evaluated exactly, tail ratios in closed form (the ratio
-    of two geometric tails is geometric, bounded iff r_s <= r_t).
-    """
-    s_a, t_a = _aligned(s, t)
-    sup = 0.0
-    for sv, tv in zip(s_a.prefix, t_a.prefix):
-        if sv > 0:
-            if tv <= 0:
-                return None
-            sup = max(sup, sv / tv)
-    if s_a.tail is not None:
-        if t_a.tail is None:
-            return None
-        if s_a.tail.r > t_a.tail.r:
-            return None
-        first = max(s_a.prefix_len, t_a.prefix_len) + 1
-        sup = max(sup, math.exp(s_a.log_value_at(first) - t_a.log_value_at(first)))
-    return sup
+    """Smallest c with s <= c t entrywise, or None when no such c exists: on a
+    support violation (s has a part singular to t) or an unbounded ratio."""
+    split = _diag_split(s, t)
+    if split.sing.tail is not None or any(split.sing.prefix):
+        return None
+    return split.certificate.c
 
 
 def diag_uniqueness(s: L1Sequence, t: L1Sequence) -> Tuple[bool, RatioCertificate]:
-    """Is the diagonal decomposition of s relative to t unique?
-
-    Unique exactly when the regular part is t-dominated.  The certificate
-    carries the domination constant, or the witness schedule of the unbounded
-    ratio when uniqueness fails.
-    """
-    ac, _ = diag_decompose(s, t)
-    c = diag_is_dominated(ac, t)
-    if c is not None:
-        return True, RatioCertificate(bounded=True, c=c, numerator=ac, denominator=t)
-    return False, RatioCertificate(bounded=False, c=None, numerator=ac, denominator=t)
+    """Is the diagonal decomposition of s relative to t unique?  Exactly when
+    the regular part is t-dominated; the certificate carries the domination
+    constant, or the witness schedule of the unbounded ratio."""
+    certificate = _diag_split(s, t).certificate
+    return certificate.bounded, certificate
 
 
 def construct_unbounded_ratio(
@@ -304,14 +315,9 @@ def construct_unbounded_ratio(
     if anchor <= 0.0:
         raise ValidationError("tail values underflow float64 before any term is representable")
     envelope_r = (1.0 + tail.r) / 2.0
-    mu = L1Sequence(tuple(body), GeometricTail(anchor / envelope_r, envelope_r))
-    certificate = RatioCertificate(
-        bounded=False,
-        c=None,
-        numerator=mu,
-        denominator=lam,
-        overrides=tuple(overrides),
-    )
+    mu = _computed_sequence(tuple(body.tolist()), GeometricTail(anchor / envelope_r, envelope_r))
+    certificate = RatioCertificate(bounded=False, c=None, numerator=mu, denominator=lam,
+                                   overrides=tuple(overrides))
     return mu, certificate
 
 
@@ -319,11 +325,10 @@ def _verified_companion(lam: L1Sequence, horizon: int) -> Tuple[L1Sequence, Rati
     """``construct_unbounded_ratio`` with the check that the pair is not unique:
     the companion has no singular part against lam and does not certify as unique."""
     mu, certificate = construct_unbounded_ratio(lam, horizon)
-    _, sing = diag_decompose(mu, lam)
-    if sing.total() != 0.0:
+    split = _diag_split(mu, lam)
+    if split.sing.total() != 0.0:
         raise ConsistencyError("constructed companion has a singular part against its base")
-    unique, _ = diag_uniqueness(mu, lam)
-    if unique:
+    if split.certificate.bounded:
         raise ConsistencyError("constructed companion is dominated; ratio growth was lost")
     return mu, certificate
 

@@ -26,7 +26,7 @@ import numpy as np
 from .diagonal import (
     L1Sequence,
     RatioCertificate,
-    diag_decompose,
+    _diag_split,
     diag_is_dominated,
     diag_uniqueness,
     sequence_from_json,
@@ -115,14 +115,9 @@ def functional_lebesgue(
     if f.kind != g.kind:
         raise ValidationError(f"cannot decompose a {g.kind} functional against a {f.kind} one")
     base = g.label or "g"
-    if g.kind == "matrix":
-        dec = decompose(g.rep, f.rep, cfg)
-        regular = NormalFunctional(dec.ac, label=f"{base}_r")
-        singular = NormalFunctional(dec.sing, label=f"{base}_s")
-    else:
-        ac, sing = diag_decompose(g.rep, f.rep)
-        regular = NormalFunctional(ac, label=f"{base}_r")
-        singular = NormalFunctional(sing, label=f"{base}_s")
+    split = decompose(g.rep, f.rep, cfg) if g.kind == "matrix" else _diag_split(g.rep, f.rep)
+    regular = NormalFunctional(split.ac, label=f"{base}_r")
+    singular = NormalFunctional(split.sing, label=f"{base}_s")
     _verify_additivity(g, regular, singular, cfg, panel_seed)
     return regular, singular
 
@@ -173,11 +168,7 @@ def functional_uniqueness(
     unique, certificate = diag_uniqueness(g.rep, f.rep)
     if unique:
         return UniquenessCertificate(unique=True, c=certificate.c)
-    return UniquenessCertificate(
-        unique=False,
-        c=math.inf,
-        witness=_describe_unbounded(certificate),
-    )
+    return UniquenessCertificate(unique=False, c=math.inf, witness=_describe_unbounded(certificate))
 
 
 def _describe_unbounded(certificate: RatioCertificate) -> str:

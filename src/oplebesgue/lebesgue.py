@@ -218,8 +218,8 @@ def decompose(
     """
     iterative, record = ac_part_iterative(s, t, cfg)
     closed = ac_part_closed(s, t, cfg)
-    drift = trace_norm(HermitianMatrix(iterative.array - closed.array))
-    drift /= max(1.0, trace_norm(s))
+    scale = max(1.0, trace_norm(s))
+    drift = trace_norm(HermitianMatrix(iterative.array - closed.array)) / scale
     if drift > ORACLE_AGREEMENT_RTOL:
         raise ConsistencyError(
             f"independent computations of the regular part disagree "
@@ -228,8 +228,7 @@ def decompose(
         )
     ac = closed
     sing = _computed_psd(s.array - ac.array, cfg, "singular part")
-    residual = trace_norm(HermitianMatrix(ac.array + sing.array - s.array))
-    residual /= max(1.0, trace_norm(s))
+    residual = trace_norm(HermitianMatrix(ac.array + sing.array - s.array)) / scale
     if residual > ADDITIVITY_RTOL:
         raise ConsistencyError(f"decomposition does not add back to its input ({residual:.3e})")
     if not is_singular_pair(sing, t, cfg):

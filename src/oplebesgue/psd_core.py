@@ -271,24 +271,24 @@ def trace(matrix) -> float:
     return float(np.trace(_as_array(matrix)).real)
 
 
+def _singular_values(matrix) -> np.ndarray:
+    """Singular values: the cached spectrum of a PsdMatrix, |eigenvalues| of a
+    Hermitian matrix, an SVD otherwise."""
+    if isinstance(matrix, PsdMatrix):
+        return matrix.eigenvalues
+    if isinstance(matrix, HermitianMatrix):
+        return np.abs(np.linalg.eigvalsh(matrix.array))
+    return np.linalg.svd(_as_array(matrix), compute_uv=False)
+
+
 def trace_norm(matrix) -> float:
     """Sum of singular values; equals the trace for PSD input."""
-    arr = _as_array(matrix)
-    if arr.size == 0:
-        return 0.0
-    if isinstance(matrix, HermitianMatrix):
-        return float(np.abs(np.linalg.eigvalsh(arr)).sum())
-    return float(np.linalg.svd(arr, compute_uv=False).sum())
+    return float(_singular_values(matrix).sum())
 
 
 def op_norm(matrix) -> float:
     """Largest singular value."""
-    arr = _as_array(matrix)
-    if arr.size == 0:
-        return 0.0
-    if isinstance(matrix, HermitianMatrix):
-        return float(np.abs(np.linalg.eigvalsh(arr)).max())
-    return float(np.linalg.svd(arr, compute_uv=False).max())
+    return float(_singular_values(matrix).max(initial=0.0))
 
 
 def hs_inner(a, b):
@@ -353,8 +353,8 @@ def _grid(obj, name: str, dim: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def hermitian_from_json(obj) -> HermitianMatrix:
-    """Parse the matrix wire format into a validated HermitianMatrix."""
+def _array_from_json(obj) -> np.ndarray:
+    """The array of the matrix wire format; shape and entries checked, symmetry not."""
     if not isinstance(obj, dict):
         raise ValidationError("matrix JSON must be an object")
     if "dim" not in obj or "real" not in obj:
@@ -364,13 +364,18 @@ def hermitian_from_json(obj) -> HermitianMatrix:
         raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
     real = _grid(obj["real"], "real", dim)
     if obj.get("imag") is not None:
-        imag = _grid(obj["imag"], "imag", dim)
-        return HermitianMatrix(real + 1j * imag)
-    return HermitianMatrix(real)
+        return real + 1j * _grid(obj["imag"], "imag", dim)
+    return real
+
+
+def hermitian_from_json(obj) -> HermitianMatrix:
+    """Parse the matrix wire format into a validated HermitianMatrix."""
+    return HermitianMatrix(_array_from_json(obj))
 
 
 def psd_from_json(obj, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
-    return PsdMatrix(hermitian_from_json(obj).array, cfg)
+    """Parse the matrix wire format into a validated PsdMatrix, checked once."""
+    return PsdMatrix(_array_from_json(obj), cfg)
 
 
 def matrix_to_json(matrix) -> dict:

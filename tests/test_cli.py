@@ -191,6 +191,59 @@ class TestCounterexample:
         assert code == 2 and "summab" in err
 
 
+class TestSequenceRequestsSplitOnce:
+    """Each sequence request splits its pair once, aligns it with at most one
+    materialization past a prefix, and validates only the sequences it reads."""
+
+    @pytest.fixture
+    def pair(self, tmp_path, capsys):
+        lam = {"prefix": [0.5, 0.0, 0.25, 0.0, 0.125],
+               "tail": {"type": "geometric", "a": 0.1, "r": 0.9}}
+        lam_path, built = tmp_path / "lam.json", tmp_path / "ce.json"
+        lam_path.write_text(json.dumps(lam))
+        assert run_cli(["--quiet", "counterexample", lam_path, built,
+                        "--horizon", "2000"], capsys)[0] == 0
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps(json.loads(built.read_text())["s"]))
+        return mu_path, lam_path
+
+    @pytest.mark.parametrize("command", ["decompose", "check-unique", "counterexample"])
+    def test_one_split(self, tmp_path, capsys, monkeypatch, pair, command):
+        from oplebesgue import cli, diagonal, functionals
+        from oplebesgue.diagonal import L1Sequence
+
+        counts = {"split": 0, "materialized": 0, "validated": 0}
+        split = diagonal._diag_split
+        materialized, validate = L1Sequence.materialized, L1Sequence.__post_init__
+
+        def counted_split(*args):
+            counts["split"] += 1
+            return split(*args)
+
+        def counted_materialized(self, upto):
+            counts["materialized"] += upto > self.prefix_len
+            return materialized(self, upto)
+
+        def counted_validate(self):
+            counts["validated"] += 1
+            validate(self)
+
+        for module in (diagonal, cli, functionals):
+            monkeypatch.setattr(module, "_diag_split", counted_split)
+        monkeypatch.setattr(L1Sequence, "materialized", counted_materialized)
+        monkeypatch.setattr(L1Sequence, "__post_init__", counted_validate)
+        mu_path, lam_path = pair
+        argv = {
+            "decompose": ["decompose", mu_path, lam_path, tmp_path / "r.json"],
+            "check-unique": ["check-unique", mu_path, lam_path],
+            "counterexample": ["counterexample", lam_path, tmp_path / "c.json",
+                               "--horizon", "2000"],
+        }[command]
+        assert run_cli(["--quiet", *argv], capsys)[0] == 0
+        assert counts["split"] == 1 and counts["materialized"] <= 1
+        assert counts["validated"] == (1 if command == "counterexample" else 2)
+
+
 class TestConvergeReport:
     def test_singular_pair_single_row_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"

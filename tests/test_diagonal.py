@@ -22,6 +22,7 @@ from oplebesgue import (
     trace_norm,
     truncate_to_matrix,
 )
+from oplebesgue import diagonal
 from conftest import make_rng, random_sequence
 
 HALF = L1Sequence((), GeometricTail(1.0, 0.5))        # 2^-n
@@ -279,3 +280,126 @@ class TestJson:
     def test_rejects_malformed(self, blob):
         with pytest.raises(ValidationError):
             sequence_from_json(blob)
+
+
+def _unsplit_aligned(x, upto):
+    """x with its prefix extended to ``upto`` entry by entry through value_at."""
+    values = tuple(x.value_at(n) for n in range(1, upto + 1))
+    if x.tail is None or upto <= x.prefix_len:
+        return L1Sequence(values, x.tail)
+    rebased = x.tail.a * x.tail.r ** (upto - x.prefix_len)
+    return L1Sequence(values, GeometricTail(rebased, x.tail.r) if rebased > 0.0 else None)
+
+
+def unsplit_decompose(s, t):
+    """The split by its own formulas, with no shared pass."""
+    upto = max(s.prefix_len, t.prefix_len)
+    s_a, t_a = _unsplit_aligned(s, upto), _unsplit_aligned(t, upto)
+    ac = tuple(sv if tv > 0 else 0.0 for sv, tv in zip(s_a.prefix, t_a.prefix))
+    sing = tuple(sv if tv <= 0 else 0.0 for sv, tv in zip(s_a.prefix, t_a.prefix))
+    if t_a.tail is not None:
+        return L1Sequence(ac, s_a.tail), L1Sequence(sing, None)
+    return L1Sequence(ac, None), L1Sequence(sing, s_a.tail)
+
+
+def unsplit_dominated(s, t):
+    """sup s_n / t_n by its own formulas: a support violation or a tail of s
+    decaying slower than t's gives None; two tails compare at the first tail index."""
+    upto = max(s.prefix_len, t.prefix_len)
+    s_a, t_a = _unsplit_aligned(s, upto), _unsplit_aligned(t, upto)
+    sup = 0.0
+    for sv, tv in zip(s_a.prefix, t_a.prefix):
+        if sv > 0:
+            if tv <= 0:
+                return None
+            sup = max(sup, sv / tv)
+    if s_a.tail is not None:
+        if t_a.tail is None or s_a.tail.r > t_a.tail.r:
+            return None
+        sup = max(sup, math.exp(s_a.log_value_at(upto + 1) - t_a.log_value_at(upto + 1)))
+    return sup
+
+
+def _split_panel():
+    rng = make_rng(60)
+    pairs = [(random_sequence(rng), random_sequence(rng)) for _ in range(150)]
+    long_s = L1Sequence(tuple(float(v) for v in rng.uniform(0.0, 1.0, 300)),
+                        GeometricTail(0.3, 0.8))
+    # a tail whose rebased scale underflows float64 and is dropped
+    vanishing = L1Sequence((1.0, 0.0), GeometricTail(1e-300, 0.01))
+    pairs += [(long_s, HALF), (HALF, long_s), (long_s, vanishing), (vanishing, long_s),
+              (QUARTER, HALF), (HALF, QUARTER), (HALF, HALF), (L1Sequence(()), HALF)]
+    return pairs
+
+
+def _count_splits(monkeypatch):
+    """Counts of _diag_split calls and of materializations past the prefix."""
+    counts = {"split": 0, "materialized": 0}
+    split, materialized = diagonal._diag_split, L1Sequence.materialized
+
+    def counted_split(*args):
+        counts["split"] += 1
+        return split(*args)
+
+    def counted_materialized(self, upto):
+        counts["materialized"] += upto > self.prefix_len
+        return materialized(self, upto)
+
+    monkeypatch.setattr(diagonal, "_diag_split", counted_split)
+    monkeypatch.setattr(L1Sequence, "materialized", counted_materialized)
+    return counts
+
+
+class TestOneSplit:
+    """Decomposition, domination and uniqueness read one split of the pair,
+    aligned once, and agree with the unsplit formulas entry for entry."""
+
+    def test_panel_matches_unsplit_formulas(self, monkeypatch):
+        panel = _split_panel()
+        counts = _count_splits(monkeypatch)
+        for s, t in panel:
+            ac_ref, sing_ref = unsplit_decompose(s, t)
+            c_ref = unsplit_dominated(ac_ref, t)
+            checks = [
+                (lambda: diag_decompose(s, t), (ac_ref, sing_ref)),
+                (lambda: diag_is_dominated(s, t), unsplit_dominated(s, t)),
+                (lambda: diag_uniqueness(s, t)[0], c_ref is not None),
+            ]
+            for call, expected in checks:
+                counts.update(split=0, materialized=0)
+                assert call() == expected
+                assert counts["split"] == 1 and counts["materialized"] <= 1
+            unique, cert = diag_uniqueness(s, t)
+            assert cert.c == c_ref and cert.bounded == unique
+            assert cert.numerator == ac_ref and cert.denominator is t
+
+    def test_split_record(self):
+        t, s = counterexample_pair(THIRD, horizon=200)
+        split = diagonal._diag_split(s, t)
+        assert isinstance(split, diagonal.DiagonalDecomposition)
+        assert (split.ac, split.sing) == diag_decompose(s, t)
+        assert split.certificate == diag_uniqueness(s, t)[1]
+        assert not split.certificate.bounded and split.sing.total() == 0.0
+        with pytest.raises(AttributeError):
+            split.ac = s
+
+    def test_materialized_builds_only_the_tail_with_the_scalar_of_value_at(self, monkeypatch):
+        # r = 0.99 runs the tail through the subnormal range before it underflows
+        seq = L1Sequence((1.0, 0.0, 2.0), GeometricTail(0.5, 0.99))
+        reads = []
+        value_at = L1Sequence.value_at
+        monkeypatch.setattr(L1Sequence, "value_at",
+                            lambda self, n: reads.append(n) or value_at(self, n))
+        longer = seq.materialized(80_003)
+        assert reads == []
+        assert longer.prefix[:3] == seq.prefix and longer.prefix_len == 80_003
+        assert all(longer.prefix[n - 1] == value_at(seq, n) for n in range(4, 80_004))
+        assert longer.tail is None and longer.prefix[-1] == 0.0
+        kept = seq.materialized(1_000)
+        assert kept.tail == GeometricTail(value_at(seq, 1_000), 0.99)
+        assert seq.materialized(2) is seq
+
+    def test_counterexample_is_verified_on_one_split(self, monkeypatch):
+        counts = _count_splits(monkeypatch)
+        counterexample_pair(L1Sequence((1.0, 0.0, 0.5), GeometricTail(0.5, 0.9)), horizon=500)
+        assert counts == {"split": 1, "materialized": 1}

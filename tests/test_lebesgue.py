@@ -447,9 +447,10 @@ class TestSpectralBudget:
         calls = self.counting(monkeypatch)
         assert decompose(s, t).uniqueness.unique
         # eigh: the engine twice in the iteration and twice in the singularity
-        # test, and PsdMatrix of the limit, the closed form and the singular part
+        # test, and PsdMatrix of the limit, the closed form and the singular part;
+        # trace_norm(S) reads the cached spectrum of S
         assert calls.count("eigh") == 7
-        assert calls.count("eigvalsh") == 9
+        assert calls.count("eigvalsh") == 7
 
     def test_verified_bound_reads_lambda_max_of_c_t_from_t(self, monkeypatch):
         rng = make_rng(45)

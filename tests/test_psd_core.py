@@ -227,6 +227,22 @@ class TestTraceFunctionals:
         m = rng.standard_normal((4, 4))
         assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
 
+    def test_norms_of_psd_read_the_cached_spectrum(self, monkeypatch):
+        rng = make_rng(21)
+        panel = [random_psd(rng, int(rng.integers(1, 12)), rank=None) for _ in range(10)]
+        panel.append(PsdMatrix(np.zeros((3, 3))))
+        expected = [(np.abs(np.linalg.eigvalsh(a.array)).sum(), np.linalg.norm(a.array, 2))
+                    for a in panel]
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        for a, (trace_ref, op_ref) in zip(panel, expected):
+            assert trace_norm(a) == pytest.approx(trace_ref, rel=1e-12, abs=1e-12)
+            assert op_norm(a) == pytest.approx(op_ref, rel=1e-12, abs=1e-12)
+        assert calls == []
+
 
 class TestSqrtRoundTrip:
     def test_square_reproduces_input(self):
@@ -285,6 +301,26 @@ class TestJson:
     def test_rejects_malformed(self, blob):
         with pytest.raises(ValidationError):
             hermitian_from_json(blob)
+
+    def test_psd_from_json_checks_hermitian_input_once(self, monkeypatch):
+        blob = matrix_to_json(random_psd(make_rng(22), 6))
+        checked = []
+        init = HermitianMatrix.__init__
+
+        def counted(self, entries):
+            checked.append(not isinstance(entries, HermitianMatrix))
+            init(self, entries)
+
+        monkeypatch.setattr(HermitianMatrix, "__init__", counted)
+        psd = psd_from_json(blob)
+        assert sum(checked) == 1
+        np.testing.assert_array_equal(psd.array, hermitian_from_json(blob).array)
+
+    def test_psd_from_json_keeps_its_error_messages(self):
+        with pytest.raises(ValidationError, match=r"not Hermitian: entries \(0,1\)"):
+            psd_from_json({"dim": 2, "real": [[1.0, 2.0], [0.0, 1.0]]})
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            psd_from_json({"dim": 2, "real": [[1.0, 0.0], [0.0, -1.0]]})
 
 
 class TestComputedOperators:
