@@ -14,14 +14,15 @@ independent ways, and certifies the split before returning it:
   domination constant cost O(r), and monotonicity and PSD-ness of every step
   follow from the structure the engine certifies once, at construction.  The
   dense checks stay on the pair that is returned: the last approximant below
-  the limit in the Loewner order, the limit a valid PSD matrix, and the last
-  domination constant verified by a Loewner comparison with c T.  Step
-  approximants are built from the family only when they are read.
+  the limit in the Loewner order, and the last domination constant verified
+  by a Loewner comparison with c T.  The limit and the step approximants are
+  built from their factors, the latter only when they are read.
 
 * ``ac_part_closed`` evaluates the kernel-projection formula
-  sqrt(S) P_M sqrt(S), where M is the null space of (I - P_T) sqrt(S).
+  sqrt(S) P_M sqrt(S), where M is the null space of (I - P_T) sqrt(S), as
+  its factor; the factor of the complement of M gives the singular part.
 
-``decompose`` requires the two routes to agree, verifies additivity,
+``decompose`` requires the two routes to agree, measures additivity, checks
 singularity of the remainder and range containment of the regular part, and
 certifies uniqueness: the split is unique iff the regular part is dominated
 by T.  In this finite-dimensional model that always holds -- the certificate
@@ -44,12 +45,10 @@ from .psd_core import (
     PsdMatrix,
     ToleranceConfig,
     _computed_psd,
+    _with_spectrum,
     loewner_leq,
     op_norm,
     range_contained,
-    range_projection,
-    sqrt_psd,
-    trace,
     trace_norm,
 )
 
@@ -84,7 +83,7 @@ class IterationStep:
 
     @property
     def approximant(self) -> PsdMatrix:
-        return _computed_psd(self.family.at_scale(self.scale), self.cfg, f"approximant k={self.k}")
+        return self.family.member(self.scale, self.cfg)
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,7 @@ def _domination_constant(candidate: np.ndarray, t: PsdMatrix, cfg: ToleranceConf
 
 def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix, cfg: ToleranceConfig) -> float:
     """c if the Loewner check accepts candidate <= c T, inf otherwise; c T reuses T's spectrum."""
-    scaled = _computed_psd(c * t.array, cfg,
-                           spectrum=(c * t.eigenvalues, t.spectrum.eigenvectors))
+    scaled = _with_spectrum(c * t.array, c * t.eigenvalues, t.spectrum.eigenvectors)
     return c if loewner_leq(candidate, scaled, cfg) else math.inf
 
 
@@ -144,15 +142,17 @@ def ac_part_iterative(
 ) -> Tuple[PsdMatrix, IterationTrace]:
     """Limit of the monotone approximants (2^k T) : S, with the full record.
 
-    Stops once the trace-norm gap between successive approximants falls below
-    conv_tol * max(1, trace S).  Each step is read off the engine's weights;
-    the returned approximant is verified densely: above the last recorded one
-    in the Loewner order, PSD, and with the last domination constant checked
+    Stops at the first approximant within conv_tol * trace_norm(S) of the
+    limit in trace norm, a distance the weights give in closed form, so a
+    family that has not started to rise cannot pass for converged.  Each step
+    is read off the engine's weights; the returned approximant is verified
+    densely: above the last recorded one in the Loewner order, PSD by
+    construction, and with the last domination constant checked
     against T.  Non-convergence raises ConvergenceError carrying the trace so
     the last approximant can still be inspected.
     """
     family = _ScaledParallelSums(s, t, cfg)
-    threshold = cfg.conv_tol * max(1.0, trace(s))
+    threshold = cfg.conv_tol * trace_norm(s)
     steps: List[IterationStep] = []
     for k in range(cfg.max_iters):
         scale = 2.0**k
@@ -165,12 +165,12 @@ def ac_part_iterative(
             family=family,
             cfg=cfg,
         )
-        if step.gap > threshold:
+        remaining = family.gap(2.0 * scale, math.inf)
+        if remaining > threshold:
             steps.append(step)
             continue
         current = family.at_scale(scale)
-        limit = _computed_psd(family.at_scale(2.0 * scale), cfg,
-                              "limit of the monotone approximation")
+        limit = family.member(2.0 * scale, cfg)
         if not loewner_leq(current, limit, cfg):
             raise ConsistencyError(
                 f"approximant sequence is not monotone at step k={k}",
@@ -180,27 +180,28 @@ def ac_part_iterative(
         return limit, IterationTrace(tuple(steps), converged=True)
     raise ConvergenceError(
         f"monotone approximation did not converge in {cfg.max_iters} scale doublings "
-        f"(last gap {steps[-1].gap:.3e}, threshold {threshold:.3e})",
+        f"(distance to the limit {remaining:.3e}, threshold {threshold:.3e})",
         trace=IterationTrace(tuple(steps), converged=False),
     )
 
 
-def ac_part_closed(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
-    """Kernel-projection form sqrt(S) P_M sqrt(S), M = ker((I - P_T) sqrt(S)).
-
-    The null space is read off a singular value decomposition at the relative
-    cutoff _KERNEL_RTOL * sqrt(lambda_max(S)), scale-covariant with S.
-    """
+def _closed_factors(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Factors R K, R K-perp of the regular and singular parts: R = sqrt(S) V is
+    the spectral factor of S on its range, and (K, K-perp) split the right
+    singular vectors of (I - P_T) R at _KERNEL_RTOL * sqrt(lambda_max(S))."""
     if s.dim != t.dim:
         raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    root = sqrt_psd(s, cfg)
-    proj_t = range_projection(t, cfg)
-    leak = (np.eye(s.dim) - proj_t.array) @ root.array
-    _, sv, vh = np.linalg.svd(leak)
-    null_rows = sv <= _KERNEL_RTOL * math.sqrt(max(s.lam_max, 0.0))
-    kernel_basis = vh[null_rows, :].conj().T
-    projector = kernel_basis @ kernel_basis.conj().T
-    return _computed_psd(root.array @ projector @ root.array, cfg, "closed-form regular part")
+    k = s.rank(cfg)
+    root = s.spectrum.eigenvectors[:, :k] * np.sqrt(s.eigenvalues[:k])
+    range_t = t.spectrum.eigenvectors[:, :t.rank(cfg)]
+    _, sv, vh = np.linalg.svd(root - range_t @ (range_t.conj().T @ root), full_matrices=False)
+    null_rows = sv <= _KERNEL_RTOL * math.sqrt(s.lam_max)
+    return root @ vh[null_rows, :].conj().T, root @ vh[~null_rows, :].conj().T
+
+
+def ac_part_closed(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+    """Kernel-projection form sqrt(S) P_M sqrt(S), M = ker((I - P_T) sqrt(S)), from its factor."""
+    return _computed_psd(_closed_factors(s, t, cfg)[0], s.lam_max, cfg)
 
 
 def decompose(
@@ -211,26 +212,27 @@ def decompose(
     The iterative and closed computations of the absolutely continuous part
     must agree within ORACLE_AGREEMENT_RTOL in relative trace norm (each
     validates the other; disagreement is an internal error carrying both
-    candidates).  The returned split uses the kernel-projection form, whose
-    additivity and range containment are exact by construction, and every
-    certificate is verified before returning.  The uniqueness certificate
-    carries the domination constant of the regular part.
+    candidates).  The returned split is built from the two factors of the
+    kernel-projection form, so a singular pair gives ac = 0 and a full-rank T
+    gives sing = 0 exactly; additivity is measured, and every certificate is
+    verified before returning.  The uniqueness certificate carries the
+    domination constant of the regular part.
     """
     iterative, record = ac_part_iterative(s, t, cfg)
-    closed = ac_part_closed(s, t, cfg)
+    ac_factor, sing_factor = _closed_factors(s, t, cfg)
+    ac = _computed_psd(ac_factor, s.lam_max, cfg)
     scale = max(1.0, trace_norm(s))
-    drift = trace_norm(HermitianMatrix(iterative.array - closed.array)) / scale
+    drift = trace_norm(HermitianMatrix(iterative.array - ac.array)) / scale
     if drift > ORACLE_AGREEMENT_RTOL:
         raise ConsistencyError(
             f"independent computations of the regular part disagree "
             f"(relative trace-norm gap {drift:.3e})",
-            details={"iterative": iterative, "closed": closed},
+            details={"iterative": iterative, "closed": ac},
         )
-    ac = closed
-    sing = _computed_psd(s.array - ac.array, cfg, "singular part")
+    sing = _computed_psd(sing_factor, s.lam_max, cfg)
     residual = trace_norm(HermitianMatrix(ac.array + sing.array - s.array)) / scale
     if residual > ADDITIVITY_RTOL:
-        raise ConsistencyError(f"decomposition does not add back to its input ({residual:.3e})")
+        raise ConsistencyError(f"regular and singular parts do not add back to the input ({residual:.3e})")
     if not is_singular_pair(sing, t, cfg):
         raise ConsistencyError("computed singular part is not singular to the reference operator")
     if not range_contained(ac, t, cfg):
@@ -269,7 +271,7 @@ def is_absolutely_continuous(
     assumed, and a mismatch raises ConsistencyError.
     """
     sing = decompose(s, t, cfg).sing
-    vanishes = trace_norm(sing) <= cfg.conv_tol * max(1.0, trace_norm(s))
+    vanishes = trace_norm(sing) <= cfg.conv_tol * trace_norm(s)
     included = range_contained(s, t, cfg)
     if vanishes != included:
         raise ConsistencyError(

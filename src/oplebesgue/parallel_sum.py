@@ -23,7 +23,6 @@ from .psd_core import (
     PsdMatrix,
     ToleranceConfig,
     _computed_psd,
-    joint_scale,
     rank_at_scale,
     trace,
 )
@@ -36,12 +35,15 @@ _FILTER_FLOOR = 1e-14
 class _ScaledParallelSums:
     """Evaluator for the whole family n -> (n T) : S from one factorization.
 
-    Writing T = L L* and S = R R* through their spectral forms, the Gram
-    matrix of [L R] yields an orthonormal basis W = [W1; W2] of its range and
-    the scale enters only through the perfectly conditioned scalar filter
-    phi_i(n) = n / (1 + (n - 1) a_i), where a_i are the eigenvalues of W1* W1:
+    Writing T = L L* and S = R R* through their spectral forms, each factor is
+    divided by the exact power of two u_T, u_S that puts its largest singular
+    value in [1/2, 1), so (n T) : S = u_S^2 (m T') : S' with m = n u_T^2 / u_S^2
+    exactly.  The Gram matrix of [L' R'] yields an orthonormal basis W = [W1; W2]
+    of its range and the scale enters only through the perfectly conditioned
+    scalar filter phi_i(m) = m / ((1 - a_i) + m a_i), where a_i are the
+    eigenvalues of W1* W1:
 
-        (n T) : S  =  F diag(phi_i(n)) H*,   F = L W1 U,  H = R W2 U.
+        (m T') : S'  =  F diag(phi_i(m)) H*,   F = L' W1 U,  H = R' W2 U.
 
     Components with a_i = 0 have identically vanishing F columns and are
     dropped, which keeps the limit n -> inf finite.  Accuracy is uniform in n.
@@ -52,46 +54,51 @@ class _ScaledParallelSums:
     construction and in O(n r), which makes every member of the family PSD,
     the family Loewner-monotone, and the trace norm of the step from n to m
     equal to sum_i (phi_i(m) - phi_i(n)) d_i.  Traces, gaps and domination
-    constants of the members are then read off in O(r).
+    constants of the members are then read off in O(r), and a member's factor,
+    F_i / |F_i| times sqrt(phi_i d_i), drops the weightless components.
     """
 
     def __init__(self, s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig):
         if s.dim != t.dim:
             raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
-        self.dim = s.dim
-        left = self._factor(t, cfg)
-        right = self._factor(s, cfg)
+        left, unit_t = self._factor(t, cfg)
+        right, unit_s = self._factor(s, cfg)
+        self._ratio = (unit_t / unit_s) ** 2
+        self._lam_s, self._lam_t = s.lam_max, t.lam_max
         p = left.shape[1]
         stacked = np.concatenate([left, right], axis=1)
         gram = stacked.conj().T @ stacked
-        if gram.shape[0] == 0:
-            self._weights = np.zeros(0)
-            self._front = np.zeros((self.dim, 0), dtype=complex)
-            self._back = np.zeros((self.dim, 0), dtype=complex)
-        else:
-            gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
-            # eigh sorts ascending: the kept components are the trailing ones
-            kept = rank_at_scale(gw[::-1], max(float(gw[-1]), 0.0), cfg)
-            basis = gV[:, gw.size - kept:]
-            top, bottom = basis[:p, :], basis[p:, :]
-            overlap = top.conj().T @ top
-            a, U = np.linalg.eigh((overlap + overlap.conj().T) / 2)
-            a = np.clip(a, 0.0, 1.0)
-            live = a > _FILTER_FLOOR
-            self._weights = a[live]
-            self._front = left @ (top @ U[:, live])
-            self._back = right @ (bottom @ U[:, live])
-        self._mass, self._rate = self._certify(math.sqrt(s.lam_max * t.lam_max), cfg)
+        gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
+        # eigh sorts ascending: the kept components are the trailing ones
+        kept = rank_at_scale(gw[::-1], gw.max(initial=0.0), cfg)
+        basis = gV[:, gw.size - kept:]
+        top, bottom = basis[:p, :], basis[p:, :]
+        overlap = top.conj().T @ top
+        a, U = np.linalg.eigh((overlap + overlap.conj().T) / 2)
+        a = np.clip(a, 0.0, 1.0)
+        live = a > _FILTER_FLOOR
+        self._weights = a[live]
+        self._front = left @ (top @ U[:, live])
+        self._back = right @ (bottom @ U[:, live])
+        mass = self._certify(math.sqrt(s.lam_max) / unit_s * math.sqrt(t.lam_max) / unit_t, cfg)
+        carried = mass > 0.0
+        norm = np.linalg.norm(self._front[:, carried], axis=0)
+        self._weights = self._weights[carried]
+        self._front = self._front[:, carried] / norm
+        self._mass = mass[carried] * unit_s**2
+        self._rate = self._mass * self._weights / (norm * unit_t) ** 2
 
     @staticmethod
-    def _factor(matrix: PsdMatrix, cfg: ToleranceConfig) -> np.ndarray:
+    def _factor(matrix: PsdMatrix, cfg: ToleranceConfig) -> Tuple[np.ndarray, float]:
+        """The spectral factor divided by u, the power of two with sqrt(lambda_max) / u in [1/2, 1)."""
         k = matrix.rank(cfg)
-        return matrix.spectrum.eigenvectors[:, :k] * np.sqrt(matrix.eigenvalues[:k])
+        unit = math.ldexp(1.0, math.frexp(math.sqrt(matrix.lam_max))[1])
+        return matrix.spectrum.eigenvectors[:, :k] * (np.sqrt(matrix.eigenvalues[:k]) / unit), unit
 
-    def _certify(self, joint: float, cfg: ToleranceConfig) -> Tuple[np.ndarray, np.ndarray]:
+    def _certify(self, joint: float, cfg: ToleranceConfig) -> np.ndarray:
         """Check that every component is a rank-one PSD term with a filter
-        nondecreasing in n; return each component's trace d_i and its rate
-        d_i a_i / |F_i|^2 toward the domination constant.
+        nondecreasing in n; return each component's trace d_i, zero for the
+        components admitted without weight.
 
         By Cauchy-Schwarz d_i <= |F_i| |H_i|, with equality exactly when H_i is
         a positive multiple of F_i; the Hermitian part of F_i H_i* has the
@@ -99,8 +106,8 @@ class _ScaledParallelSums:
         its negative eigenvalue stays within psd_tol of its trace.  A component
         that fails the test is admitted only if its term stays below the
         resolution of the factorization in every member of the family:
-        |F_i| |H_i| / a_i (phi_i(n) <= 1 / a_i) at most sqrt(rank_cutoff) times
-        the joint magnitude sqrt(lambda_max(S) lambda_max(T)), which bounds
+        |F_i| |H_i| / a_i (phi_i <= 1 / a_i) at most sqrt(rank_cutoff) times
+        the joint magnitude sqrt(lambda_max(S') lambda_max(T')), which bounds
         |F_i| |H_i|.  Such components come from the a_i = 1 columns, whose H_i
         vanishes in exact arithmetic, and carry no weight.  Any other failure
         raises ConsistencyError.
@@ -111,8 +118,7 @@ class _ScaledParallelSums:
                 "parallel-sum filter weights leave (0, 1]: the scaled family is not monotone",
                 details={"weights": (float(a.min()), float(a.max()))},
             )
-        front_norm = np.linalg.norm(self._front, axis=0)
-        product = front_norm * np.linalg.norm(self._back, axis=0)
+        product = np.linalg.norm(self._front, axis=0) * np.linalg.norm(self._back, axis=0)
         mass = np.real(np.sum(self._back.conj() * self._front, axis=0))
         psd_term = mass >= (1.0 - cfg.psd_tol) * product
         broken = ~psd_term & (product > math.sqrt(cfg.rank_cutoff) * joint * a)
@@ -124,21 +130,26 @@ class _ScaledParallelSums:
                 details={"component": worst, "trace": float(mass[worst]),
                          "bound": float(product[worst])},
             )
-        mass = np.where(psd_term, mass, 0.0)
-        carried = mass > 0.0
-        rate = np.zeros_like(mass)
-        rate[carried] = mass[carried] * a[carried] / front_norm[carried] ** 2
-        return mass, rate
+        return np.where(psd_term, mass, 0.0)
 
     def _filter(self, scale: float) -> np.ndarray:
-        return scale / (1.0 + (scale - 1.0) * self._weights)
+        a, m = self._weights, scale * self._ratio
+        return m / ((1.0 - a) + m * a)
+
+    def factor_at(self, scale: float) -> np.ndarray:
+        """A factor X of (scale * T) : S = X X*."""
+        return self._front * np.sqrt(self._filter(scale) * self._mass)
 
     def at_scale(self, scale: float) -> np.ndarray:
         """(scale * T) : S as a Hermitian array."""
-        if self._weights.size == 0:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        product = (self._front * self._filter(scale)) @ self._back.conj().T
+        factor = self.factor_at(scale)
+        product = factor @ factor.conj().T
         return (product + product.conj().T) / 2
+
+    def member(self, scale: float, cfg: ToleranceConfig) -> PsdMatrix:
+        """(scale * T) : S, rank-cut at the largest eigenvalue it can have,
+        min(lambda_max(S), scale * lambda_max(T))."""
+        return _computed_psd(self.factor_at(scale), min(self._lam_s, scale * self._lam_t), cfg)
 
     def trace_at(self, scale: float) -> float:
         """trace((scale * T) : S)."""
@@ -147,21 +158,22 @@ class _ScaledParallelSums:
     def gap(self, scale: float, larger: float) -> float:
         """Trace norm of (larger * T) : S - (scale * T) : S.
 
-        The filter increment is written as (m - n)(1 - a) / ((1 + (m - 1) a)
-        (1 + (n - 1) a)), a product of nonnegative factors, so the gap is
-        nonnegative in floating point and free of cancellation.
+        The filter increment is written as (1 - m/M)(1 - a) / (((1 - a)/M + a)
+        ((1 - a) + m a)), a product of nonnegative factors, so the gap is
+        nonnegative in floating point and free of cancellation, no
+        denominator rounds to zero when m is below the precision of 1, and
+        ``larger = inf`` gives the distance to the limit of the family.
         """
-        a = self._weights
-        increment = (larger - scale) * (1.0 - a) / (
-            (1.0 + (larger - 1.0) * a) * (1.0 + (scale - 1.0) * a)
-        )
+        a, m, big = self._weights, scale * self._ratio, larger * self._ratio
+        increment = (1.0 - m / big) * (1.0 - a) / (((1.0 - a) / big + a) * ((1.0 - a) + m * a))
         return float(increment @ self._mass)
 
     def domination_at(self, scale: float) -> float:
         """Smallest c with (scale * T) : S <= c T.
 
-        Whitened by T, the front factor becomes W1 U, whose Gram matrix is
-        diag(a); the member is then diagonal with entries phi_i d_i a_i / |F_i|^2.
+        Whitened by T', the front factor becomes W1 U, whose Gram matrix is
+        diag(a); the member is then diagonal with entries phi_i d_i a_i / |F_i|^2,
+        and c carries the exact factor u_S^2 / u_T^2 back to T.
         """
         if self._rate.size == 0:
             return 0.0
@@ -171,7 +183,7 @@ class _ScaledParallelSums:
 def parallel_sum(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Parallel sum S:T = S (S+T)^+ T, the unit-scale member of the factored
     family, so no pseudoinverse of S + T is ever formed."""
-    return _computed_psd(_ScaledParallelSums(s, t, cfg).at_scale(1.0), cfg, "parallel sum")
+    return _ScaledParallelSums(s, t, cfg).member(1.0, cfg)
 
 
 def _singularity(
@@ -181,14 +193,10 @@ def _singularity(
     family it was read from."""
     family = _ScaledParallelSums(s, t, cfg)
     mean_trace = family.trace_at(1.0)
-    trace_says = mean_trace <= cfg.conv_tol * max(1.0, trace(s), trace(t))
+    trace_says = mean_trace <= cfg.conv_tol * min(trace(s), trace(t))
 
-    scale = joint_scale(s, t)
-    k_s = rank_at_scale(s.eigenvalues, scale, cfg)
-    k_t = rank_at_scale(t.eigenvalues, scale, cfg)
-    bases = np.concatenate(
-        [s.spectrum.eigenvectors[:, :k_s], t.spectrum.eigenvectors[:, :k_t]], axis=1
-    )
+    k_s, k_t = s.rank(cfg), t.rank(cfg)
+    bases = np.concatenate([s.spectrum.eigenvectors[:, :k_s], t.spectrum.eigenvectors[:, :k_t]], axis=1)
     joint = np.linalg.eigvalsh(bases.conj().T @ bases)[::-1]
     rank_join = rank_at_scale(joint, joint[0] if joint.size else 0.0, cfg)
     intersection_dim = k_s + k_t - rank_join
@@ -207,11 +215,11 @@ def _singularity(
 def is_singular_pair(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Decide whether the only common positive minorant of s and t is zero.
 
-    Primary criterion: trace(s:t) below conv_tol relative to the input traces,
-    read off the weights of the factored parallel sum without forming it.
-    Cross-checked against dim(range s intersect range t) = 0 computed from the
-    range projections (taken at the pair's joint scale, so roundoff ghosts of
-    zero carry no rank); disagreement between the two raises ConsistencyError,
+    Primary criterion: trace(s:t) below conv_tol times the smaller input trace
+    (s:t lies below both), read off the weights of the factored parallel sum
+    without forming it.  Cross-checked against dim(range s intersect range t)
+    = 0 computed from the range projections, each rank taken at its operand's
+    own scale; disagreement between the two raises ConsistencyError,
     signalling a tolerance misconfiguration rather than an answer.  The rank
     of P_s + P_t is read off the Gram matrix of the two range bases, which
     has the same nonzero eigenvalues.
@@ -229,4 +237,4 @@ def nonzero_common_minorant(
     singularity test has already factored, and is built only when returned.
     """
     singular, family = _singularity(s, t, cfg)
-    return None if singular else _computed_psd(family.at_scale(1.0), cfg, "parallel sum")
+    return None if singular else family.member(1.0, cfg)

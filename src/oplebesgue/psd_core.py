@@ -10,8 +10,10 @@ operators: the trace norm is the natural size measure and every rank decision
 is made relative to the largest eigenvalue, never in absolute terms, so that
 rescaling an operator can never change its computed rank.
 
-``PsdMatrix(...)`` is the gate for outside input; operators the package
-computes are built by ``_computed_psd`` and fail as numerical faults.
+``PsdMatrix(...)`` is the gate for outside input.  Operators the package
+computes are PSD by construction and are never checked like input:
+``_computed_psd`` builds one from its factor, and ``_with_spectrum`` one
+whose spectrum is a function of an operand's.
 """
 
 from __future__ import annotations
@@ -202,49 +204,48 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray):
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def _computed_psd(array, cfg: ToleranceConfig, what: str = "", spectrum=None) -> PsdMatrix:
-    """An operator the package computed, Hermitian by construction up to the
-    roundoff its average (A + A*)/2 removes.  ``spectrum`` is an (eigenvalues,
-    eigenvectors) pair from a verified factorization; it is stored sorted
-    descending and nothing is factored again.  Without one the array is checked
-    like input, but a failure is a ConsistencyError naming ``what``."""
-    array = (array + array.conj().T) / 2
-    if spectrum is None:
-        try:
-            return PsdMatrix(array, cfg)
-        except (ValidationError, ConsistencyError) as exc:
-            raise ConsistencyError(f"{what}: {exc}") from exc
-    w, V = spectrum
+def _with_spectrum(array, w, V) -> PsdMatrix:
+    """An operator whose spectrum (w, V) is in hand, stored sorted descending with
+    the Hermitian average (A + A*)/2 of its array; nothing is factored again."""
     order = np.argsort(-w, kind="stable")
     psd = object.__new__(PsdMatrix)
-    psd._array = _frozen(array)
+    psd._array = _frozen((array + array.conj().T) / 2)
     psd._spectrum = SpectralDecomp(_frozen(w[order]), _frozen(V[:, order]))
     return psd
+
+
+def _computed_psd(factor, scale: float, cfg: ToleranceConfig) -> PsdMatrix:
+    """X X* for a factor X the package computed, PSD by construction.  The
+    spectrum comes from a thin SVD of X, cut at rank_cutoff * ``scale``, the
+    largest eigenvalue of the operand X X* came from, so columns of X that are
+    roundoff of that operand carry no rank."""
+    left, sv, _ = np.linalg.svd(factor, full_matrices=False)
+    k = rank_at_scale(sv**2, scale, cfg)
+    return _with_spectrum(factor @ factor.conj().T, sv[:k] ** 2, left[:, :k])
 
 
 def sqrt_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Positive square root via the cached spectral form."""
     psd = _as_psd(matrix, cfg)
     V, root_w = psd.spectrum.eigenvectors, np.sqrt(psd.eigenvalues)
-    return _computed_psd((V * root_w) @ V.conj().T, cfg, spectrum=(root_w, V))
+    return _with_spectrum((V * root_w) @ V.conj().T, root_w, V)
 
 
 def pinv_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Moore-Penrose pseudoinverse with eigenvalues below the rank cutoff zeroed."""
     psd = _as_psd(matrix, cfg)
-    k = psd.rank(cfg)
-    V, inverse_w = psd.spectrum.eigenvectors, np.zeros(psd.dim)
-    inverse_w[:k] = 1.0 / psd.eigenvalues[:k]
-    return _computed_psd((V[:, :k] / psd.eigenvalues[:k]) @ V[:, :k].conj().T, cfg,
-                         spectrum=(inverse_w, V))
+    k, w = psd.rank(cfg), psd.eigenvalues
+    V, inverse_w = psd.spectrum.eigenvectors, np.zeros(w.size)
+    inverse_w[:k] = 1.0 / w[:k]
+    return _with_spectrum((V[:, :k] / w[:k]) @ V[:, :k].conj().T, inverse_w, V)
 
 
 def range_projection(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
     """Orthogonal projection onto the numerical range (eigenvalues above cutoff)."""
     psd = _as_psd(matrix, cfg)
     k = psd.rank(cfg)
-    V, unit_w = psd.spectrum.eigenvectors, (np.arange(psd.dim) < k).astype(float)
-    return _computed_psd(V[:, :k] @ V[:, :k].conj().T, cfg, spectrum=(unit_w, V))
+    V, unit_w = psd.spectrum.eigenvectors, (np.arange(psd.eigenvalues.size) < k).astype(float)
+    return _with_spectrum(V[:, :k] @ V[:, :k].conj().T, unit_w, V)
 
 
 def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
@@ -301,21 +302,10 @@ def hs_inner(a, b):
     return value
 
 
-def joint_scale(a: "PsdMatrix", b: "PsdMatrix") -> float:
-    """Shared magnitude reference for comparisons between two operators.
-
-    Floored at 1 like the Loewner comparison band, so that roundoff ghosts of
-    an exact zero (largest eigenvalue at noise level) do not acquire rank
-    relative to themselves.
-    """
-    return max(a.lam_max, b.lam_max, 1.0)
-
-
 def range_contained(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Is range(a) contained in range(b) at the configured rank tolerance?
 
-    Ranks are taken against the pair's joint scale, so a part that is zero up
-    to roundoff of the surrounding computation counts as zero.  Containment is
+    Each rank is taken at the operand's own scale.  Containment is
     measured by the largest principal-angle sine, op_norm((I - P_b) V_a) with
     V_a an orthonormal basis of range(a); genuine inclusions sit at roundoff
     level while violations are O(1), so the threshold sqrt(rank_cutoff)
@@ -323,12 +313,11 @@ def range_contained(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """
     psd_a, psd_b = _as_psd(a, cfg), _as_psd(b, cfg)
     _require_same_dim(psd_a.array, psd_b.array)
-    scale = joint_scale(psd_a, psd_b)
-    k_a = rank_at_scale(psd_a.eigenvalues, scale, cfg)
+    k_a = psd_a.rank(cfg)
     if k_a == 0:
         return True
     basis_a = psd_a.spectrum.eigenvectors[:, :k_a]
-    basis_b = psd_b.spectrum.eigenvectors[:, :rank_at_scale(psd_b.eigenvalues, scale, cfg)]
+    basis_b = psd_b.spectrum.eigenvectors[:, :psd_b.rank(cfg)]
     leak = basis_a - basis_b @ (basis_b.conj().T @ basis_a)
     return op_norm(leak) <= math.sqrt(cfg.rank_cutoff)
 

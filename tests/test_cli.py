@@ -337,20 +337,18 @@ def _write_matrix(path, a):
 
 RESCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
 
-# What a computed-operator failure may name: the operators decompose builds.
-COMPUTED_OPERATORS = ("regular part", "singular part", "monotone approximation",
-                      "parallel-sum", "parallel sum")
-
 
 class TestValidInputNeverExits2:
-    """A valid pair at any rescale exits 0 or 3, never 2 ("invalid input"):
-    a computed operator that misses its PSD band is a numerical fault."""
+    """A valid pair at any rescale never exits 2 ("invalid input").  Up to a
+    ratio of 1e4 between the two rescales it exits 0; beyond that the one
+    allowed failure is a monotone approximation that runs out of its doubling
+    budget, exit 3 with a diagnosis naming it."""
 
     @pytest.mark.parametrize("structure, dim, seed, former_exit_2", [
         ("generic", 16, 0, {}),
-        # closed-form regular part outside its band at (1e8, 1e-8)
+        # closed-form regular part was outside its band at (1e8, 1e-8)
         ("singular", 8, 0, {(1e8, 1e-8): "closed-form regular part"}),
-        # singular part outside its band at (1e4, 1e4)
+        # singular part was outside its band at (1e4, 1e4)
         ("full_rank_t", 32, 1, {(1e4, 1e4): "singular part"}),
     ])
     def test_exit_codes_over_rescales(self, tmp_path, capsys, structure, dim, seed,
@@ -364,11 +362,13 @@ class TestValidInputNeverExits2:
                 code, _, err = run_cli(["--quiet", "decompose", s_path, t_path,
                                         tmp_path / "r.json"], capsys)
                 where = f"{structure} at ({alpha:g}, {beta:g}): {err.strip()}"
+                if abs(np.log10(alpha / beta)) <= 4 or (alpha, beta) in former_exit_2:
+                    assert code == 0 and err == "", where
+                    continue
                 assert code in (0, 3), where
                 if code == 3:
                     lines = err.splitlines()
-                    assert len(lines) == 1 and lines[0].startswith("error: "), where
-                    assert any(name in lines[0] for name in COMPUTED_OPERATORS), where
-                if (alpha, beta) in former_exit_2:
-                    assert code == 3, where
-                    assert err.startswith(f"error: {former_exit_2[alpha, beta]}: "), where
+                    assert len(lines) == 1, where
+                    assert lines[0].startswith(
+                        "error: monotone approximation did not converge in 60 scale doublings"
+                    ), where

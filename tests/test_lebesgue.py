@@ -188,8 +188,8 @@ class TestFactoredIteration:
         # faults the structural check cannot see: members that shrink with the
         # scale, and a domination constant too small to dominate
         class Shrinking(_ScaledParallelSums):
-            def at_scale(self, scale):
-                return super().at_scale(scale) / scale
+            def factor_at(self, scale):
+                return super().factor_at(scale) / np.sqrt(scale)
 
         class Undercounting(_ScaledParallelSums):
             def domination_at(self, scale):
@@ -330,6 +330,49 @@ class TestDecompose:
         assert op_norm(dec.ac) <= 1e-12 and op_norm(dec.sing) <= 1e-12
 
 
+class TestFactoredSplit:
+    """decompose returns the two factors of the kernel-projection form: exact
+    zeros where a part vanishes, and additivity measured, not assumed."""
+
+    @staticmethod
+    def pairs(ranks, count=4, dim=16):
+        rng = make_rng(46)
+        rank_s, rank_t = (int(share * dim) for share in ranks)
+        return [(random_psd(rng, dim, rank=rank_s), random_psd(rng, dim, rank=rank_t))
+                for _ in range(count)]
+
+    def test_singular_pairs_give_an_exact_zero_regular_part(self):
+        for s, t in self.pairs((0.5, 0.5)) + [(ONES, DIAG10)]:
+            dec = decompose(s, t)
+            assert not np.any(dec.ac.array) and dec.ac.rank() == 0
+            assert dec.uniqueness.c == 0.0
+            assert not np.any(ac_part_closed(s, t).array)
+
+    def test_full_rank_reference_gives_an_exact_zero_singular_part(self):
+        for s, t in self.pairs((0.5, 1.0)):
+            dec = decompose(s, t)
+            assert not np.any(dec.sing.array) and dec.sing.rank() == 0
+
+    def test_additivity_residual_is_measured(self):
+        for s, t in self.pairs((0.75, 0.75)):
+            dec = decompose(s, t)
+            residual = trace_norm(dec.ac.array + dec.sing.array - s.array) / trace_norm(s)
+            assert 0.0 < residual < 1e-9
+            assert dec.ac.rank() > 0 and dec.sing.rank() > 0
+
+    def test_perturbed_factor_fails_additivity(self, monkeypatch):
+        closed_factors = lebesgue._closed_factors
+
+        def perturbed(s, t, cfg):
+            ac_factor, sing_factor = closed_factors(s, t, cfg)
+            return ac_factor, sing_factor * (1.0 + 1e-6)
+
+        s, t = self.pairs((0.75, 0.75), count=1)[0]
+        monkeypatch.setattr(lebesgue, "_closed_factors", perturbed)
+        with pytest.raises(ConsistencyError, match="singular part.*do not add back"):
+            decompose(s, t)
+
+
 class TestDomination:
     def test_self(self):
         rng = make_rng(40)
@@ -447,10 +490,11 @@ class TestSpectralBudget:
         calls = self.counting(monkeypatch)
         assert decompose(s, t).uniqueness.unique
         # eigh: the engine twice in the iteration and twice in the singularity
-        # test, and PsdMatrix of the limit, the closed form and the singular part;
-        # trace_norm(S) reads the cached spectrum of S
-        assert calls.count("eigh") == 7
-        assert calls.count("eigvalsh") == 7
+        # test; the limit, the regular and the singular part take their spectra
+        # from thin SVDs of their factors, and trace_norm(S) reads the cached
+        # spectrum of S
+        assert calls.count("eigh") == 4
+        assert calls.count("eigvalsh") <= 7
 
     def test_verified_bound_reads_lambda_max_of_c_t_from_t(self, monkeypatch):
         rng = make_rng(45)

@@ -218,12 +218,44 @@ class TestSingularityReadsTheWeights:
 
     def test_witness_built_only_for_non_singular_pairs(self, monkeypatch):
         built = []
-        at_scale = parallel_sum_module._ScaledParallelSums.at_scale
-        monkeypatch.setattr(parallel_sum_module._ScaledParallelSums, "at_scale",
-                            lambda self, scale: built.append(scale) or at_scale(self, scale))
+        factor_at = parallel_sum_module._ScaledParallelSums.factor_at
+        monkeypatch.setattr(parallel_sum_module._ScaledParallelSums, "factor_at",
+                            lambda self, scale: built.append(scale) or factor_at(self, scale))
         e1, e2 = PsdMatrix(np.diag([1.0, 0.0])), PsdMatrix(np.diag([0.0, 1.0]))
         assert nonzero_common_minorant(e1, e2) is None
         assert is_singular_pair(*self.pairs()[0]) is False
         assert built == []
         assert nonzero_common_minorant(*self.pairs()[0]) is not None
         assert built == [1.0]
+
+
+class TestOperandsAtTheirOwnScale:
+    """Each operand is factored at its own scale, so a pair whose operands are
+    far apart keeps every component it has at unit scale."""
+
+    @pytest.mark.parametrize("power", [30, -30])
+    def test_rescaled_pair_keeps_its_components(self, power):
+        rng = make_rng(29)
+        for dim, rank in ((8, 6), (16, 12), (32, 24)):
+            s, t = random_psd(rng, dim, rank=rank), random_psd(rng, dim, rank=rank)
+            unit = parallel_sum_module._ScaledParallelSums(s, t, DEFAULT_CONFIG)
+            far = parallel_sum_module._ScaledParallelSums(
+                PsdMatrix(4.0**power * s.array), PsdMatrix(4.0**-power * t.array), DEFAULT_CONFIG)
+            assert unit._weights.size > 0
+            assert far._weights.size == unit._weights.size
+            np.testing.assert_allclose(far._weights, unit._weights, rtol=0, atol=1e-12)
+            # the scale map is exact: (n T'):S' at n = 4^(2 power) is (T:S) times 4^power
+            assert far.trace_at(16.0**power) == pytest.approx(4.0**power * unit.trace_at(1.0),
+                                                               rel=1e-12)
+
+    def test_filter_stays_finite_below_the_precision_of_one(self):
+        # a weight-one component has phi = 1 at every scale; written as
+        # 1 + (m - 1) a, its denominator would round to zero once m < 2^-53
+        rng = make_rng(30)
+        s, t = random_psd(rng, 12, rank=9), random_psd(rng, 12, rank=9)
+        far = parallel_sum_module._ScaledParallelSums(
+            PsdMatrix(4.0**40 * s.array), PsdMatrix(4.0**-40 * t.array), DEFAULT_CONFIG)
+        for scale in (1.0, 2.0**30, 2.0**59):
+            assert np.all(np.isfinite(far._filter(scale)))
+            assert np.isfinite(far.gap(scale, 2.0 * scale)) and far.gap(scale, 2.0 * scale) >= 0.0
+            assert np.all(np.isfinite(far.factor_at(scale)))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplebesgue import (
-    ConsistencyError,
     HermitianMatrix,
     PsdMatrix,
     ToleranceConfig,
@@ -260,9 +259,13 @@ class TestRangeContained:
         assert range_contained(PsdMatrix(np.diag([1.0, 0.0])), PsdMatrix(np.eye(2)))
         assert not range_contained(PsdMatrix(np.eye(2)), PsdMatrix(np.diag([1.0, 0.0])))
 
-    def test_noise_zero_is_contained_everywhere(self):
-        noise = PsdMatrix(np.diag([1e-30, 0.0]))
-        assert range_contained(noise, PsdMatrix(np.diag([0.0, 1.0])))
+    def test_ranks_are_taken_at_each_operands_own_scale(self):
+        # a tiny operator keeps its range: rescaling never changes a verdict
+        for scale in (1e-30, 1.0, 1e30):
+            tiny = PsdMatrix(np.diag([scale, 0.0]))
+            assert not range_contained(tiny, PsdMatrix(np.diag([0.0, 1.0])))
+            assert range_contained(tiny, PsdMatrix(np.diag([1.0, 0.0])))
+            assert range_contained(PsdMatrix(np.diag([1.0, 0.0])), tiny)
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,21 +383,62 @@ class TestComputedOperators:
                 np.testing.assert_allclose(result.eigenvalues, fresh.eigenvalues, atol=1e-9 * scale)
                 assert result.rank() == fresh.rank()
 
-    def test_checked_failure_names_the_operator(self):
-        # the same array is invalid input through PsdMatrix, a numerical fault when computed
-        negative = np.diag([1.0, -1.0])
-        with pytest.raises(ValidationError):
-            PsdMatrix(negative)
-        with pytest.raises(ConsistencyError, match="^widget: matrix is not positive semidefinite"):
-            _computed_psd(negative, DEFAULT_CONFIG, "widget")
-        with pytest.raises(ConsistencyError, match="^widget: matrix entries must be finite"):
-            _computed_psd(np.diag([1.0, np.nan]), DEFAULT_CONFIG, "widget")
 
-    def test_checked_operator_is_stored_as_its_hermitian_average(self):
-        # a computed operator is Hermitian by construction: its asymmetry is
-        # roundoff, averaged away instead of rejected as it is on input
-        skewed = np.array([[2.0, 1.0 + 1e-6j], [1.0, 2.0]])
-        with pytest.raises(ValidationError, match="not Hermitian"):
-            PsdMatrix(skewed)
-        built = _computed_psd(skewed, DEFAULT_CONFIG, "widget")
-        assert np.array_equal(built.array, (skewed + skewed.conj().T) / 2)
+class TestComputedFromFactor:
+    """_computed_psd builds X X* from a factor X, with the spectrum of a thin
+    SVD of X cut at the scale of the operand X X* came from."""
+
+    def test_array_and_thin_spectrum(self):
+        rng = make_rng(32)
+        for dim, cols, rank in ((1, 1, 1), (6, 4, 3), (16, 24, 16), (32, 11, 5)):
+            factor = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) @ (
+                rng.standard_normal((rank, cols)))
+            built = _computed_psd(factor, 1.0, DEFAULT_CONFIG)
+            product = factor @ factor.conj().T
+            assert np.array_equal(built.array, (product + product.conj().T) / 2)
+            assert not built.array.flags.writeable
+            w, V = built.eigenvalues, built.spectrum.eigenvectors
+            assert w.size == rank and V.shape == (dim, rank)
+            assert np.all(np.diff(w) <= 0.0) and np.all(w > 0.0)
+            assert np.linalg.norm(V.conj().T @ V - np.eye(rank)) <= SPECTRAL_TOL
+            norm = np.linalg.norm(built.array)
+            assert np.linalg.norm(built.spectrum.reconstruct() - built.array) <= SPECTRAL_TOL * norm
+            fresh = PsdMatrix(built.array)
+            np.testing.assert_allclose(w, fresh.eigenvalues[:rank], rtol=1e-12)
+
+    def test_roundoff_columns_carry_no_rank(self):
+        # columns at the roundoff of an operand of size 1 are cut at its scale,
+        # not at their own
+        rng = make_rng(33)
+        genuine = rng.standard_normal((8, 2))
+        ghosts = 1e-17 * rng.standard_normal((8, 3))
+        built = _computed_psd(np.concatenate([genuine, ghosts], axis=1), 1.0, DEFAULT_CONFIG)
+        assert built.eigenvalues.size == 2 and built.rank() == 2
+        alone = _computed_psd(ghosts, 1.0, DEFAULT_CONFIG)
+        assert alone.eigenvalues.size == 0 and alone.lam_max == 0.0 and alone.rank() == 0
+        assert trace_norm(alone) == 0.0
+
+    def test_empty_factor_is_exactly_zero(self):
+        built = _computed_psd(np.zeros((3, 0), dtype=complex), 1.0, DEFAULT_CONFIG)
+        assert np.array_equal(built.array, np.zeros((3, 3)))
+        assert built.eigenvalues.size == 0 and built.rank() == 0
+
+    def test_scale_covariant_for_powers_of_two(self):
+        rng = make_rng(34)
+        factor = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
+        base = _computed_psd(factor, 7.0, DEFAULT_CONFIG)
+        for j in (-60, -27, 27, 60):
+            scaled = _computed_psd(2.0**j * factor, 4.0**j * 7.0, DEFAULT_CONFIG)
+            assert np.array_equal(scaled.array, 4.0**j * base.array)
+            assert scaled.rank() == base.rank() == 6
+
+    def test_thin_spectra_feed_the_spectral_operators(self):
+        rng = make_rng(35)
+        factor = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+        built = _computed_psd(factor, 1.0, DEFAULT_CONFIG)
+        np.testing.assert_allclose(pinv_psd(built).array, np.linalg.pinv(built.array), atol=1e-10)
+        projection = range_projection(built)
+        assert projection.eigenvalues.size == 4
+        np.testing.assert_allclose(projection.array @ built.array, built.array, atol=1e-10)
+        np.testing.assert_allclose(sqrt_psd(built).array @ sqrt_psd(built).array, built.array,
+                                   atol=1e-10)
