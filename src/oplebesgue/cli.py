@@ -147,7 +147,7 @@ def cmd_decompose(args) -> int:
         raise ValidationError("decompose expects matrix or sequence inputs, not functionals")
     report = {
         "inputs": {"s": _echo(s, kind, digest_s), "t": _echo(t, kind, digest_t)},
-        "tolerances": {**dataclasses.asdict(cfg), "truncate": args.truncate, "seed": args.seed},
+        "tolerances": {**dataclasses.asdict(cfg), "truncate": args.truncate},
         "decomposition": body,
         "timing": {"elapsed_seconds": time.perf_counter() - started},
     }
@@ -207,7 +207,7 @@ def cmd_converge_report(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["k", "n", "gap_trace", "c_bound"])
     for step in trace.steps:
-        writer.writerow([step.k, int(step.scale), repr(step.gap), repr(step.c_bound)])
+        writer.writerow([step.k, 2**step.k, repr(step.gap), repr(step.c_bound)])
     _write_atomic(args.csv_path, buffer.getvalue(), args.quiet)
     return EXIT_OK
 
@@ -226,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="iteration budget for the monotone approximation")
     parser.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE,
                         help="sequence-to-matrix truncation horizon")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any sampled verification panels")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
     commands = parser.add_subparsers(dest="command", required=True)
 

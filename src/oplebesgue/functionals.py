@@ -34,7 +34,7 @@ from .diagonal import (
     truncate_to_matrix,
 )
 from .errors import DimensionMismatchError, ConsistencyError, ValidationError
-from .lebesgue import UniquenessCertificate, decompose, uniqueness_certificate
+from .lebesgue import ADDITIVITY_RTOL, UniquenessCertificate, decompose, uniqueness_certificate
 from .psd_core import (
     DEFAULT_CONFIG,
     HermitianMatrix,
@@ -53,7 +53,6 @@ PROBE_DIM = 32
 # Size of the seeded random panel on which functional decompositions verify
 # their pointwise additivity before being returned.
 ADDITIVITY_PANEL = 50
-ADDITIVITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def functional_lebesgue(
 
     The split happens on the representatives; before returning, pointwise
     additivity g = g_r + g_s is verified on a seeded panel of random Hermitian
-    arguments.
+    arguments A, each against the Cauchy-Schwarz scale |A|_F trace(G) of g(A).
     """
     if f.kind != g.kind:
         raise ValidationError(f"cannot decompose a {g.kind} functional against a {f.kind} one")
@@ -124,13 +123,15 @@ def functional_lebesgue(
 
 def _verify_additivity(g, regular, singular, cfg, seed):
     dim = g.rep.dim if g.kind == "matrix" else PROBE_DIM
+    g, regular, singular = (NormalFunctional(x.rep_matrix(dim, cfg)) for x in (g, regular, singular))
+    mass = trace(g.rep)
     rng = np.random.default_rng(seed)
     for _ in range(ADDITIVITY_PANEL):
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         probe = HermitianMatrix((raw + raw.conj().T) / 2)
         total = evaluate(g, probe, cfg)
         split = evaluate(regular, probe, cfg) + evaluate(singular, probe, cfg)
-        if abs(total - split) > ADDITIVITY_RTOL * max(1.0, abs(total)):
+        if abs(total - split) > ADDITIVITY_RTOL * np.linalg.norm(probe.array) * mass:
             raise ConsistencyError(
                 f"functional split is not additive on the verification panel "
                 f"({total} vs {split})"

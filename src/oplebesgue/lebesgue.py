@@ -5,11 +5,12 @@ mutually singular with T, computes the absolutely continuous part two
 independent ways, and certifies the split before returning it:
 
 * ``ac_part_iterative`` follows the monotone approximation scheme: the
-  parallel sums (2^k T) : S increase to the absolutely continuous part as the
+  parallel sums (n T) : S increase to the absolutely continuous part as the
   scale doubles.  The whole family comes from the one scaled factorization of
   the parallel-sum engine, so that no accuracy is lost at scales like 2^60
   where a naive pseudoinverse of S + 2^k T would drown the small spectral
-  components in roundoff.  The iteration runs in the r-dimensional weight
+  components in roundoff.  The scale doubles from 1 in the engine's frame,
+  not in the units of S and T.  The iteration runs in the r-dimensional weight
   space of that factorization: each step's trace, trace-norm gap and
   domination constant cost O(r), and monotonicity and PSD-ness of every step
   follow from the structure the engine certifies once, at construction.  The
@@ -47,7 +48,6 @@ from .psd_core import (
     _computed_psd,
     _with_spectrum,
     loewner_leq,
-    op_norm,
     range_contained,
     trace_norm,
 )
@@ -69,9 +69,10 @@ _KERNEL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class IterationStep:
-    """One monotone approximant: scale n = 2^k, its trace, the trace-norm gap
-    to the next approximant and the smallest c with S_k <= c T (inf if none).
-    The approximant itself is built from the shared factorization on read."""
+    """One monotone approximant (n T) : S: step k, the scale n applied to T as
+    given (2^k in the engine's frame), its trace, the trace-norm gap to the next
+    approximant and the smallest c with S_k <= c T (inf if none).  The
+    approximant itself is built from the shared factorization on read."""
 
     k: int
     scale: float
@@ -124,7 +125,7 @@ def _domination_constant(candidate: np.ndarray, t: PsdMatrix, cfg: ToleranceConf
     Loewner check rejects the computed constant."""
     k = t.rank(cfg)
     if k == 0:
-        return 0.0 if op_norm(candidate) <= cfg.psd_tol else math.inf
+        return 0.0 if not np.any(candidate) else math.inf
     inv_root = t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(t.eigenvalues[:k]))
     compressed = inv_root.conj().T @ candidate @ inv_root
     c = max(float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[-1]), 0.0)
@@ -140,7 +141,8 @@ def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix, cfg: Toleranc
 def ac_part_iterative(
     s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> Tuple[PsdMatrix, IterationTrace]:
-    """Limit of the monotone approximants (2^k T) : S, with the full record.
+    """Limit of the monotone approximants (n T) : S, n = 2^k / ratio, with the
+    full record; the engine's filter argument n * ratio is 2^k exactly.
 
     Stops at the first approximant within conv_tol * trace_norm(S) of the
     limit in trace norm, a distance the weights give in closed form, so a
@@ -155,7 +157,7 @@ def ac_part_iterative(
     threshold = cfg.conv_tol * trace_norm(s)
     steps: List[IterationStep] = []
     for k in range(cfg.max_iters):
-        scale = 2.0**k
+        scale = 2.0**k / family.ratio
         step = IterationStep(
             k=k,
             scale=scale,
@@ -221,7 +223,7 @@ def decompose(
     iterative, record = ac_part_iterative(s, t, cfg)
     ac_factor, sing_factor = _closed_factors(s, t, cfg)
     ac = _computed_psd(ac_factor, s.lam_max, cfg)
-    scale = max(1.0, trace_norm(s))
+    scale = trace_norm(s) or 1.0  # an exactly zero S splits into exact zeros
     drift = trace_norm(HermitianMatrix(iterative.array - ac.array)) / scale
     if drift > ORACLE_AGREEMENT_RTOL:
         raise ConsistencyError(

@@ -37,11 +37,12 @@ class _ScaledParallelSums:
 
     Writing T = L L* and S = R R* through their spectral forms, each factor is
     divided by the exact power of two u_T, u_S that puts its largest singular
-    value in [1/2, 1), so (n T) : S = u_S^2 (m T') : S' with m = n u_T^2 / u_S^2
-    exactly.  The Gram matrix of [L' R'] yields an orthonormal basis W = [W1; W2]
-    of its range and the scale enters only through the perfectly conditioned
-    scalar filter phi_i(m) = m / ((1 - a_i) + m a_i), where a_i are the
-    eigenvalues of W1* W1:
+    value in [1/2, 1), so (n T) : S = u_S^2 (m T') : S' with m = n * ratio
+    exactly, ratio = u_T^2 / u_S^2 a power of four; the monotone schedule
+    counts m, not n.  The Gram matrix of [L' R'] yields an orthonormal basis
+    W = [W1; W2] of its range and the scale enters only through the perfectly
+    conditioned scalar filter phi_i(m) = m / ((1 - a_i) + m a_i), where a_i are
+    the eigenvalues of W1* W1:
 
         (m T') : S'  =  F diag(phi_i(m)) H*,   F = L' W1 U,  H = R' W2 U.
 
@@ -63,7 +64,7 @@ class _ScaledParallelSums:
             raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
         left, unit_t = self._factor(t, cfg)
         right, unit_s = self._factor(s, cfg)
-        self._ratio = (unit_t / unit_s) ** 2
+        self.ratio = (unit_t / unit_s) ** 2
         self._lam_s, self._lam_t = s.lam_max, t.lam_max
         p = left.shape[1]
         stacked = np.concatenate([left, right], axis=1)
@@ -133,7 +134,7 @@ class _ScaledParallelSums:
         return np.where(psd_term, mass, 0.0)
 
     def _filter(self, scale: float) -> np.ndarray:
-        a, m = self._weights, scale * self._ratio
+        a, m = self._weights, scale * self.ratio
         return m / ((1.0 - a) + m * a)
 
     def factor_at(self, scale: float) -> np.ndarray:
@@ -164,7 +165,7 @@ class _ScaledParallelSums:
         denominator rounds to zero when m is below the precision of 1, and
         ``larger = inf`` gives the distance to the limit of the family.
         """
-        a, m, big = self._weights, scale * self._ratio, larger * self._ratio
+        a, m, big = self._weights, scale * self.ratio, larger * self.ratio
         increment = (1.0 - m / big) * (1.0 - a) / (((1.0 - a) / big + a) * ((1.0 - a) + m * a))
         return float(increment @ self._mass)
 

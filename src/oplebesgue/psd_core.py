@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ConsistencyError, ValidationError
 
-# Absolute deviation allowed between A and A* (relative to the largest entry,
-# floored at 1) before the input is rejected as non-Hermitian.
+# Deviation allowed between A and A*, relative to the largest entry of A,
+# before the input is rejected as non-Hermitian.
 HERMITIAN_ATOL = 1e-12
 
 # Invariant tolerance for spectral factorizations (reconstruction error and
@@ -83,9 +83,8 @@ class HermitianMatrix:
             raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
         if arr.size and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ValidationError("matrix entries must be finite")
-        scale = max(float(np.abs(arr).max()) if arr.size else 0.0, 1.0)
         deviation = np.abs(arr - arr.conj().T)
-        if arr.size and deviation.max() > HERMITIAN_ATOL * scale:
+        if arr.size and deviation.max() > HERMITIAN_ATOL * np.abs(arr).max():
             i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
             raise ValidationError(
                 f"matrix is not Hermitian: entries ({i},{j})={arr[i, j]:.6g} and "
@@ -128,8 +127,7 @@ def eigh(matrix) -> SpectralDecomp:
     w, V = np.linalg.eigh(arr)
     w, V = w[::-1].copy(), V[:, ::-1].copy()
     decomp = SpectralDecomp(_frozen(w), _frozen(V))
-    norm_a = max(1.0, float(np.linalg.norm(arr)))
-    if float(np.linalg.norm(decomp.reconstruct() - arr)) > SPECTRAL_TOL * norm_a:
+    if np.linalg.norm(decomp.reconstruct() - arr) > SPECTRAL_TOL * np.linalg.norm(arr):
         raise ConsistencyError("spectral factorization failed to reconstruct its input")
     gram_err = float(np.linalg.norm(V.conj().T @ V - np.eye(herm.dim)))
     if gram_err > SPECTRAL_TOL:
@@ -140,7 +138,7 @@ def eigh(matrix) -> SpectralDecomp:
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix with all eigenvalues nonnegative up to tolerance.
 
-    Eigenvalues in the roundoff band [-psd_tol * max(lambda_max, 1), 0) are
+    Eigenvalues in the roundoff band [-psd_tol * lambda_max, 0) are
     clipped to zero at construction; anything more negative is a hard error.
     The clipped spectral form is cached and reused by every downstream
     operation (square roots, pseudoinverses, projections).
@@ -153,7 +151,7 @@ class PsdMatrix(HermitianMatrix):
         decomp = eigh(self)
         w = decomp.eigenvalues
         lam_max = float(w[0]) if w.size else 0.0
-        band = cfg.psd_tol * max(lam_max, 1.0)
+        band = cfg.psd_tol * lam_max
         lam_min = float(w[-1]) if w.size else 0.0
         if lam_min < -band:
             raise ValidationError(
@@ -251,20 +249,18 @@ def range_projection(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix
 def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Decide a <= b in the Loewner order.
 
-    True iff the smallest eigenvalue of b - a stays above
-    -psd_tol * max(1, lambda_max(b)); lambda_max(b) comes from the cached
-    spectrum when b is a PsdMatrix.
+    True iff the smallest eigenvalue of b - a stays above -psd_tol * |b|, with
+    |b| the largest |eigenvalue| of b (lambda_max(b) for PSD b): a band
+    relative to b with no floor, so the comparison means the same at every
+    scale.  A PsdMatrix b supplies its cached spectrum.
     """
     arr_a, arr_b = _as_array(a), _as_array(b)
     _require_same_dim(arr_a, arr_b)
     if arr_a.size == 0:
         return True
     diff_min = float(np.linalg.eigvalsh(arr_b - arr_a)[0])
-    if isinstance(b, PsdMatrix):
-        lam_max_b = b.lam_max
-    else:
-        lam_max_b = float(np.linalg.eigvalsh(arr_b)[-1])
-    return diff_min >= -cfg.psd_tol * max(1.0, lam_max_b)
+    spectrum_b = b.eigenvalues if isinstance(b, PsdMatrix) else np.linalg.eigvalsh(arr_b)
+    return diff_min >= -cfg.psd_tol * float(np.abs(spectrum_b).max(initial=0.0))
 
 
 def trace(matrix) -> float:
@@ -293,11 +289,12 @@ def op_norm(matrix) -> float:
 
 
 def hs_inner(a, b):
-    """Hilbert-Schmidt pairing trace(b* a); conjugate-symmetric in (a, b)."""
+    """Hilbert-Schmidt pairing trace(b* a); conjugate-symmetric in (a, b), and
+    real when its imaginary part is roundoff of the bound |a|_F |b|_F."""
     arr_a, arr_b = _as_array(a), _as_array(b)
     _require_same_dim(arr_a, arr_b)
     value = complex(np.vdot(arr_b, arr_a))
-    if abs(value.imag) <= 1e-12 * max(1.0, abs(value)):
+    if abs(value.imag) <= 1e-12 * np.linalg.norm(arr_a) * np.linalg.norm(arr_b):
         return value.real
     return value
 

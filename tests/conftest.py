@@ -48,6 +48,33 @@ def random_sequence(rng, max_prefix=6):
     return L1Sequence(prefix, tail)
 
 
+def _gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _gram(factor):
+    a = factor @ factor.conj().T / factor.shape[0]
+    return (a + a.conj().T) / 2
+
+
+def structured_pair(structure, dim, seed):
+    """Complex PSD pair: independent ranges of 3/4 the dimension ("generic"),
+    half-dimensional ranges at principal angles in [0.1, pi/2) ("singular"),
+    or a half-rank S against a full-rank T ("full_rank_t")."""
+    rng = np.random.default_rng([seed, dim])
+    if structure == "generic":
+        return _gram(_gaussian(rng, dim, 3 * dim // 4)), _gram(_gaussian(rng, dim, 3 * dim // 4))
+    if structure == "full_rank_t":
+        return _gram(_gaussian(rng, dim, dim // 2)), _gram(_gaussian(rng, dim, dim))
+    rank = dim // 2
+    q, _ = np.linalg.qr(_gaussian(rng, dim, dim))
+    angles = rng.uniform(0.1, np.pi / 2, rank)
+    range_s = q[:, :rank]
+    range_t = range_s * np.cos(angles) + q[:, rank:2 * rank] * np.sin(angles)
+    return (_gram(range_s @ _gaussian(rng, rank, 3 * rank // 2)),
+            _gram(range_t @ _gaussian(rng, rank, 3 * rank // 2)))
+
+
 @pytest.fixture
 def rng():
     return make_rng(1234)

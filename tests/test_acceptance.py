@@ -321,7 +321,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     payloads = []
     for name in ("d1.json", "d2.json"):
         target = tmp_path / name
-        run(["--quiet", "--seed", "11", "decompose", DATA / "s_ones.json",
+        run(["--quiet", "decompose", DATA / "s_ones.json",
              DATA / "t_diag10.json", target])
         blob = json.loads(target.read_text())
         blob.pop("timing")
@@ -329,7 +329,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     csvs = []
     for name in ("c1.csv", "c2.csv"):
         target = tmp_path / name
-        run(["--quiet", "--seed", "11", "converge-report", DATA / "s_ones.json",
+        run(["--quiet", "converge-report", DATA / "s_ones.json",
              DATA / "t_diag10.json", target])
         csvs.append(target.read_bytes())
     checks["byte determinism"] = payloads[0] == payloads[1] and csvs[0] == csvs[1]

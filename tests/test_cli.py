@@ -8,6 +8,7 @@ import pytest
 
 from oplebesgue import psd_from_json
 from oplebesgue.cli import main
+from conftest import structured_pair
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -275,7 +276,7 @@ class TestConvergeReport:
         outs = []
         for name in ("one.csv", "two.csv"):
             out = tmp_path / name
-            code, _, _ = run_cli(["--quiet", "--seed", "7", "converge-report",
+            code, _, _ = run_cli(["--quiet", "converge-report",
                                   DATA / "s_ones.json", DATA / "t_diag10.json", out], capsys)
             assert code == 0
             outs.append(out.read_bytes())
@@ -303,33 +304,6 @@ class TestSubprocessEntry:
         assert code == 0 and str(out) in stdout
 
 
-def _gaussian(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def _gram(factor):
-    a = factor @ factor.conj().T / factor.shape[0]
-    return (a + a.conj().T) / 2
-
-
-def _scaled_pair(structure, dim, seed):
-    """Complex PSD pair: independent ranges of 3/4 the dimension ("generic"),
-    half-dimensional ranges at principal angles in [0.1, pi/2) ("singular"),
-    or a half-rank S against a full-rank T ("full_rank_t")."""
-    rng = np.random.default_rng([seed, dim])
-    if structure == "generic":
-        return _gram(_gaussian(rng, dim, 3 * dim // 4)), _gram(_gaussian(rng, dim, 3 * dim // 4))
-    if structure == "full_rank_t":
-        return _gram(_gaussian(rng, dim, dim // 2)), _gram(_gaussian(rng, dim, dim))
-    rank = dim // 2
-    q, _ = np.linalg.qr(_gaussian(rng, dim, dim))
-    angles = rng.uniform(0.1, np.pi / 2, rank)
-    range_s = q[:, :rank]
-    range_t = range_s * np.cos(angles) + q[:, rank:2 * rank] * np.sin(angles)
-    return (_gram(range_s @ _gaussian(rng, rank, 3 * rank // 2)),
-            _gram(range_t @ _gaussian(rng, rank, 3 * rank // 2)))
-
-
 def _write_matrix(path, a):
     path.write_text(json.dumps({"dim": a.shape[0], "real": a.real.tolist(),
                                 "imag": a.imag.tolist()}))
@@ -339,21 +313,16 @@ RESCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
 
 
 class TestValidInputNeverExits2:
-    """A valid pair at any rescale never exits 2 ("invalid input").  Up to a
-    ratio of 1e4 between the two rescales it exits 0; beyond that the one
-    allowed failure is a monotone approximation that runs out of its doubling
-    budget, exit 3 with a diagnosis naming it."""
+    """A valid pair exits 0 at every rescale: the input gate, the monotone
+    schedule and every certificate judge each operand at its own scale."""
 
-    @pytest.mark.parametrize("structure, dim, seed, former_exit_2", [
-        ("generic", 16, 0, {}),
-        # closed-form regular part was outside its band at (1e8, 1e-8)
-        ("singular", 8, 0, {(1e8, 1e-8): "closed-form regular part"}),
-        # singular part was outside its band at (1e4, 1e4)
-        ("full_rank_t", 32, 1, {(1e4, 1e4): "singular part"}),
+    @pytest.mark.parametrize("structure, dim, seed", [
+        ("generic", 16, 0),
+        ("singular", 8, 0),
+        ("full_rank_t", 32, 1),
     ])
-    def test_exit_codes_over_rescales(self, tmp_path, capsys, structure, dim, seed,
-                                      former_exit_2):
-        s, t = _scaled_pair(structure, dim, seed)
+    def test_exit_codes_over_rescales(self, tmp_path, capsys, structure, dim, seed):
+        s, t = structured_pair(structure, dim, seed)
         for alpha in RESCALES:
             for beta in RESCALES:
                 s_path, t_path = tmp_path / "s.json", tmp_path / "t.json"
@@ -362,13 +331,4 @@ class TestValidInputNeverExits2:
                 code, _, err = run_cli(["--quiet", "decompose", s_path, t_path,
                                         tmp_path / "r.json"], capsys)
                 where = f"{structure} at ({alpha:g}, {beta:g}): {err.strip()}"
-                if abs(np.log10(alpha / beta)) <= 4 or (alpha, beta) in former_exit_2:
-                    assert code == 0 and err == "", where
-                    continue
-                assert code in (0, 3), where
-                if code == 3:
-                    lines = err.splitlines()
-                    assert len(lines) == 1, where
-                    assert lines[0].startswith(
-                        "error: monotone approximation did not converge in 60 scale doublings"
-                    ), where
+                assert code == 0 and err == "", where

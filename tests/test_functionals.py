@@ -1,9 +1,12 @@
+import dataclasses
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from oplebesgue import (
+    ConsistencyError,
     GeometricTail,
     L1Sequence,
     NormalFunctional,
@@ -27,6 +30,8 @@ from oplebesgue import (
     trace_norm,
 )
 from conftest import make_rng, random_hermitian, random_psd, random_unitary
+
+functionals = importlib.import_module("oplebesgue.functionals")
 
 
 def f_of(matrix_or_seq, label=None):
@@ -148,6 +153,21 @@ class TestLebesgue:
             assert evaluate(regular, a) + evaluate(singular, a) == pytest.approx(
                 total, rel=1e-9, abs=1e-9
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_inflated_regular_part_fails_additivity_at_every_scale(self, monkeypatch, scale):
+        decompose = functionals.decompose
+
+        def inflated(g, f, cfg):
+            split = decompose(g, f, cfg)
+            return dataclasses.replace(split, ac=PsdMatrix(split.ac.array * (1.0 + 1e-3)))
+
+        rng = make_rng(65)
+        g = f_of(scale * random_psd(rng, 5).array)
+        f = f_of(random_psd(rng, 5, rank=2).array)
+        monkeypatch.setattr(functionals, "decompose", inflated)
+        with pytest.raises(ConsistencyError, match="not additive"):
+            functional_lebesgue(g, f)
 
     def test_monotone_approximants_certify_almost_domination(self):
         rng = make_rng(70)

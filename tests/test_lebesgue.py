@@ -22,7 +22,7 @@ from oplebesgue import (
     trace_norm,
     uniqueness_certificate,
 )
-from conftest import make_rng, random_psd, random_unitary
+from conftest import make_rng, random_psd, random_unitary, structured_pair
 
 lebesgue = importlib.import_module("oplebesgue.lebesgue")
 _ScaledParallelSums = importlib.import_module("oplebesgue.parallel_sum")._ScaledParallelSums
@@ -188,8 +188,13 @@ class TestFactoredIteration:
         # faults the structural check cannot see: members that shrink with the
         # scale, and a domination constant too small to dominate
         class Shrinking(_ScaledParallelSums):
+            power = 0.5
+
             def factor_at(self, scale):
-                return super().factor_at(scale) / np.sqrt(scale)
+                return super().factor_at(scale) / scale**self.power
+
+        class ShrinkingFaster(Shrinking):
+            power = 1.0
 
         class Undercounting(_ScaledParallelSums):
             def domination_at(self, scale):
@@ -197,9 +202,12 @@ class TestFactoredIteration:
 
         rng = make_rng(31)
         s, t = random_psd(rng, 16, rank=12), random_psd(rng, 16, rank=12)
-        monkeypatch.setattr(lebesgue, "_ScaledParallelSums", Shrinking)
-        with pytest.raises(ConsistencyError, match="not monotone"):
-            ac_part_iterative(s, t)
+        # members shrinking by 1/n and by 1/n^2: the violation is at the size
+        # of the members, so the band must be relative to them, not floored
+        for shrinking in (Shrinking, ShrinkingFaster):
+            monkeypatch.setattr(lebesgue, "_ScaledParallelSums", shrinking)
+            with pytest.raises(ConsistencyError, match="not monotone"):
+                ac_part_iterative(s, t)
         monkeypatch.setattr(lebesgue, "_ScaledParallelSums", Undercounting)
         _, record = ac_part_iterative(s, t)
         assert record.steps[-1].c_bound == np.inf
@@ -330,6 +338,48 @@ class TestDecompose:
         assert op_norm(dec.ac) <= 1e-12 and op_norm(dec.sing) <= 1e-12
 
 
+STRUCTURES = ("generic", "singular", "full_rank_t")
+
+
+class TestScaleCovariance:
+    """decompose(alpha S, beta T) is alpha times decompose(S, T), with c scaled
+    by alpha / beta: bit for bit under powers of four, which the engine's
+    normalization divides out exactly, and to roundoff under any other scale."""
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_powers_of_four_are_bitwise(self, structure):
+        s, t = structured_pair(structure, 16, 0)
+        base = decompose(PsdMatrix(s), PsdMatrix(t))
+        base_steps = base.trace_of_iteration.steps
+        for j in (-30, -13, 0, 13, 30):
+            for k in (-30, -13, 0, 13, 30):
+                alpha, ratio = 4.0**j, 4.0 ** (j - k)
+                dec = decompose(PsdMatrix(alpha * s), PsdMatrix(4.0**k * t))
+                where = f"{structure} at (4^{j}, 4^{k})"
+                assert np.array_equal(dec.ac.array, alpha * base.ac.array), where
+                assert np.array_equal(dec.sing.array, alpha * base.sing.array), where
+                assert dec.uniqueness.unique == base.uniqueness.unique, where
+                assert dec.uniqueness.c == ratio * base.uniqueness.c, where
+                steps = dec.trace_of_iteration.steps
+                assert [step.k for step in steps] == [step.k for step in base_steps], where
+                for step, unit in zip(steps, base_steps):
+                    assert step.gap == alpha * unit.gap, where
+                    assert step.c_bound == ratio * unit.c_bound, where
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_decimal_scales(self, structure, dim):
+        s, t = structured_pair(structure, dim, 0)
+        base = decompose(PsdMatrix(s), PsdMatrix(t))
+        size = trace_norm(PsdMatrix(s))
+        for alpha in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            for beta in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+                dec = decompose(PsdMatrix(alpha * s), PsdMatrix(beta * t))
+                drift = trace_norm(dec.ac.array / alpha - base.ac.array) / size
+                assert drift <= 1e-12, f"{structure} at ({alpha:g}, {beta:g}): {drift:.3e}"
+                assert dec.uniqueness.unique
+
+
 class TestFactoredSplit:
     """decompose returns the two factors of the kernel-projection form: exact
     zeros where a part vanishes, and additivity measured, not assumed."""
@@ -372,6 +422,19 @@ class TestFactoredSplit:
         with pytest.raises(ConsistencyError, match="singular part.*do not add back"):
             decompose(s, t)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_perturbed_regular_factor_is_rejected_at_every_scale(self, monkeypatch, scale):
+        closed_factors = lebesgue._closed_factors
+
+        def perturbed(s, t, cfg):
+            ac_factor, sing_factor = closed_factors(s, t, cfg)
+            return ac_factor * (1.0 + 1e-3), sing_factor
+
+        s, t = self.pairs((0.75, 0.75), count=1)[0]
+        monkeypatch.setattr(lebesgue, "_closed_factors", perturbed)
+        with pytest.raises(ConsistencyError, match="regular part disagree"):
+            decompose(PsdMatrix(scale * s.array), t)
+
 
 class TestDomination:
     def test_self(self):
@@ -384,6 +447,12 @@ class TestDomination:
 
     def test_range_failure(self):
         assert is_dominated(PsdMatrix(np.diag([1.0, 1.0])), DIAG10) is None
+
+    def test_zero_reference_dominates_only_zero(self):
+        zero = PsdMatrix(np.zeros((2, 2)))
+        assert is_dominated(zero, zero) == 0.0
+        for size in (1.0, 1e-12):
+            assert is_dominated(PsdMatrix(size * np.eye(2)), zero) is None
 
     def test_constant_is_tight(self):
         rng = make_rng(41)

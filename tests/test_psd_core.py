@@ -58,6 +58,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="not positive semidefinite"):
             PsdMatrix(np.diag([1.0, -1e-3]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    def test_bands_are_relative_to_the_operand(self, scale):
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            PsdMatrix(scale * np.diag([1.0, 0.5, -1e-3]))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianMatrix(scale * np.array([[1.0, 1e-4], [0.0, 1.0]]))
+        assert PsdMatrix(scale * np.diag([1.0, -5e-11])).eigenvalues[-1] == 0.0
+
     def test_arrays_are_immutable(self):
         psd = PsdMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -168,6 +176,12 @@ class TestLoewner:
         assert loewner_leq(np.diag([1.0, 0.0]), np.diag([1.0, 1.0]))
         assert not loewner_leq(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    def test_band_is_relative_to_the_upper_operand(self, scale):
+        assert not loewner_leq(scale * np.diag([1.0, 1e-3]), scale * np.diag([1.0, 0.0]))
+        assert loewner_leq(scale * np.diag([1.0, 5e-11]), scale * np.diag([1.0, 0.0]))
+        assert loewner_leq(-scale * np.eye(2), -scale * np.eye(2))
+
     def test_reflexive_on_random(self):
         rng = make_rng(14)
         for _ in range(20):
@@ -206,6 +220,11 @@ class TestTraceFunctionals:
         # entrywise sum of |entries|^2 for the matched pair
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert hs_inner(n, n) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_hs_inner_keeps_an_imaginary_part_at_every_scale(self, scale):
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert hs_inner(scale * e12, 1j * scale * e12) == -1j * scale**2
 
     def test_hs_inner_conjugate_symmetry(self):
         rng = make_rng(16)
