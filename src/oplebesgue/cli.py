@@ -8,8 +8,8 @@ the non-unique sequence pair over a given base sequence.
 Exit codes separate mathematics from operations: 0 carries answers (including
 "not unique" -- uniqueness status is data, not an error), 2 flags invalid
 input with a single ``error:`` diagnostic on stderr naming the violated
-invariant, and 3 flags a numerical failure (non-convergence or an internal
-consistency breakdown).  Outputs are written atomically and rerunning with
+invariant, and 3 flags a numerical failure (an internal consistency
+breakdown).  Outputs are written atomically and rerunning with
 identical inputs and flags reproduces byte-identical payloads; wall-clock
 timing lives in a ``timing`` block excluded from that guarantee.
 """
@@ -35,7 +35,7 @@ from .diagonal import (
     sequence_to_json,
     truncate_to_matrix,
 )
-from .errors import ConsistencyError, ConvergenceError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .functionals import NormalFunctional, functional_from_json, functional_uniqueness
 from .lebesgue import ac_part_iterative, decompose
 from .psd_core import ToleranceConfig, matrix_to_json, psd_from_json
@@ -53,7 +53,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _config(args) -> ToleranceConfig:
-    return ToleranceConfig(psd_tol=args.psd_tol, conv_tol=args.tol, max_iters=args.max_iters)
+    return ToleranceConfig(psd_tol=args.psd_tol, conv_tol=args.tol)
 
 
 def _load_json(path: str):
@@ -147,7 +147,7 @@ def cmd_decompose(args) -> int:
         raise ValidationError("decompose expects matrix or sequence inputs, not functionals")
     report = {
         "inputs": {"s": _echo(s, kind, digest_s), "t": _echo(t, kind, digest_t)},
-        "tolerances": {**dataclasses.asdict(cfg), "truncate": args.truncate},
+        "tolerances": dataclasses.asdict(cfg),
         "decomposition": body,
         "timing": {"elapsed_seconds": time.perf_counter() - started},
     }
@@ -222,8 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="relative trace-norm stopping threshold for iterations")
     parser.add_argument("--psd-tol", type=float, default=ToleranceConfig().psd_tol,
                         help="relative tolerance band for PSD validation")
-    parser.add_argument("--max-iters", type=int, default=ToleranceConfig().max_iters,
-                        help="iteration budget for the monotone approximation")
     parser.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE,
                         help="sequence-to-matrix truncation horizon")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
@@ -264,9 +262,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ValidationError as exc:
         return _fail(str(exc), EXIT_INVALID)
-    except ConvergenceError as exc:
-        steps = len(exc.trace.steps) if exc.trace is not None else 0
-        return _fail(f"{exc} [{steps} steps recorded]", EXIT_NUMERICAL)
     except ConsistencyError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
 

@@ -9,18 +9,6 @@ class DimensionMismatchError(ValidationError):
     """Operation applied to operands of incompatible dimensions."""
 
 
-class ConvergenceError(RuntimeError):
-    """Monotone approximation did not converge within the iteration budget.
-
-    Carries the partial iteration record in ``trace`` so callers can inspect
-    the last approximant and the gap history.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
 class ConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree.
 

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError, DimensionMismatchError, ValidationError
+from .errors import ConsistencyError, DimensionMismatchError, ValidationError
 from .parallel_sum import _ScaledParallelSums, is_singular_pair
 from .psd_core import (
     DEFAULT_CONFIG,
@@ -90,10 +90,6 @@ class IterationStep:
 @dataclass(frozen=True)
 class IterationTrace:
     steps: Tuple[IterationStep, ...]
-    converged: bool
-
-    def gaps(self) -> List[float]:
-        return [step.gap for step in self.steps]
 
 
 @dataclass(frozen=True)
@@ -146,17 +142,23 @@ def ac_part_iterative(
 
     Stops at the first approximant within conv_tol * trace_norm(S) of the
     limit in trace norm, a distance the weights give in closed form, so a
-    family that has not started to rise cannot pass for converged.  Each step
-    is read off the engine's weights; the returned approximant is verified
-    densely: above the last recorded one in the Loewner order, PSD by
-    construction, and with the last domination constant checked
-    against T.  Non-convergence raises ConvergenceError carrying the trace so
-    the last approximant can still be inspected.
+    family that has not started to rise cannot stop early.  The pair
+    bounds how long that takes: at filter argument m the distance is
+    sum_i d_i (1 - a_i) / (a_i ((1 - a_i) + m a_i)) <= sum_i (d_i / a_i^2) / m,
+    so step k, which compares m = 2^(k+1) against the threshold, stops by
+    K = ceil(log2(sum_i (d_i / a_i^2) / threshold)), a ratio of two multiples
+    of trace(S) and 0 for S = 0.  Running past K means the certified weights
+    broke their own bound and raises ConsistencyError.  Each step is read off
+    the engine's weights; the returned approximant is verified densely: above
+    the last recorded one in the Loewner order, PSD by construction, and with
+    the last domination constant checked against T.
     """
     family = _ScaledParallelSums(s, t, cfg)
     threshold = cfg.conv_tol * trace_norm(s)
+    reach = family.reach()
+    bound = max(0, math.ceil(math.log2(reach / threshold))) if reach else 0
     steps: List[IterationStep] = []
-    for k in range(cfg.max_iters):
+    for k in range(bound + 1):
         scale = 2.0**k / family.ratio
         step = IterationStep(
             k=k,
@@ -179,11 +181,11 @@ def ac_part_iterative(
                 details={"step": k, "gap": step.gap},
             )
         steps.append(replace(step, c_bound=_verified_bound(current, step.c_bound, t, cfg)))
-        return limit, IterationTrace(tuple(steps), converged=True)
-    raise ConvergenceError(
-        f"monotone approximation did not converge in {cfg.max_iters} scale doublings "
+        return limit, IterationTrace(tuple(steps))
+    raise ConsistencyError(
+        f"monotone approximation passed its derived bound of K={bound} scale doublings "
         f"(distance to the limit {remaining:.3e}, threshold {threshold:.3e})",
-        trace=IterationTrace(tuple(steps), converged=False),
+        details={"stage": "monotone approximation", "distance": remaining, "threshold": threshold},
     )
 
 

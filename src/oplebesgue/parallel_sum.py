@@ -169,6 +169,11 @@ class _ScaledParallelSums:
         increment = (1.0 - m / big) * (1.0 - a) / (((1.0 - a) / big + a) * ((1.0 - a) + m * a))
         return float(increment @ self._mass)
 
+    def reach(self) -> float:
+        """sum_i d_i / a_i^2, which bounds m times the distance to the limit at
+        filter argument m, sum_i d_i (1 - a_i) / (a_i ((1 - a_i) + m a_i))."""
+        return float(np.sum(self._mass / self._weights**2))
+
     def domination_at(self, scale: float) -> float:
         """Smallest c with (scale * T) : S <= c T.
 

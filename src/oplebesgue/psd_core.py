@@ -42,21 +42,17 @@ class ToleranceConfig:
                  treated as roundoff and clipped at construction
     rank_cutoff  relative eigenvalue threshold for numerical rank
     conv_tol     relative trace-norm stopping threshold for iterations
-    max_iters    iteration budget for monotone approximation
     """
 
     psd_tol: float = 1e-10
     rank_cutoff: float = 1e-10
     conv_tol: float = 1e-9
-    max_iters: int = 60
 
     def __post_init__(self):
         for name in ("psd_tol", "rank_cutoff", "conv_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite positive scalar, got {value!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ValidationError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 DEFAULT_CONFIG = ToleranceConfig()

@@ -311,7 +311,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
                             DATA / "t_diag10.json", tmp_path / "x.json"])
     code2b, _, err2b = run(["--quiet", "counterexample", DATA / "lam_finite.json",
                             tmp_path / "y.json"])
-    code3, _, err3 = run(["--quiet", "--max-iters", "1", "decompose", DATA / "t_eye3.json",
+    code3, _, err3 = run(["--quiet", "--tol", "1e-3", "decompose", DATA / "t_eye3.json",
                           DATA / "t_eye3.json", tmp_path / "z.json"])
     checks["exit codes 2/2/3"] = (
         (code2a, code2b, code3) == (2, 2, 3)

@@ -109,13 +109,26 @@ class TestDecompose:
                                 DATA / "t_diag10.json", tmp_path / "r.json"], capsys)
         assert code == 2 and err.startswith("error:")
 
-    def test_exhausted_iteration_budget_exits_3(self, tmp_path, capsys):
-        # identity against itself needs ~30 scale doublings; one is not enough
-        code, _, err = run_cli(["--quiet", "--max-iters", "1", "decompose",
+    def test_oracle_disagreement_exits_3(self, tmp_path, capsys):
+        # a stopping threshold of 1e-3 leaves the iterative route 1e-3 short of
+        # the closed form, far outside the 1e-8 agreement the two must reach
+        code, _, err = run_cli(["--quiet", "--tol", "1e-3", "decompose",
                                 DATA / "t_eye3.json", DATA / "t_eye3.json",
                                 tmp_path / "r.json"], capsys)
         assert code == 3
-        assert err.startswith("error:") and "converge" in err
+        assert err.startswith("error:") and "independent computations" in err
+
+    @pytest.mark.parametrize("floor", [1.01e-10, 2e-10, 4e-10])
+    def test_reference_near_the_rank_cutoff_exits_0(self, tmp_path, capsys, floor):
+        # about 60 scale doublings, all within the bound the pair derives
+        s_path, t_path, out = tmp_path / "s.json", tmp_path / "t.json", tmp_path / "r.json"
+        s_path.write_text(json.dumps({"dim": 2, "real": [[1.0, 0.0], [0.0, 1.0]]}))
+        t_path.write_text(json.dumps({"dim": 2, "real": [[1.0, 0.0], [0.0, floor]]}))
+        code, _, err = run_cli(["--quiet", "decompose", s_path, t_path, out], capsys)
+        assert code == 0 and err == ""
+        body = json.loads(out.read_text())["decomposition"]
+        assert body["ac"]["real"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert body["c"] == pytest.approx(1.0 / floor, rel=1e-12)
 
 
 class TestCheckUnique:

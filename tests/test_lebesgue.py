@@ -1,11 +1,11 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
 
 from oplebesgue import (
     ConsistencyError,
-    ConvergenceError,
     PsdMatrix,
     ToleranceConfig,
     ValidationError,
@@ -43,7 +43,6 @@ class TestIterative:
         rng = make_rng(31)
         s = random_psd(rng, 4)
         ac, record = ac_part_iterative(s, PsdMatrix(np.eye(4)))
-        assert record.converged
         assert len(record.steps) < 40
         assert trace_norm(ac.array - s.array) <= 1e-8 * max(1.0, trace_norm(s))
 
@@ -53,7 +52,7 @@ class TestIterative:
         ac, record = ac_part_iterative(ONES, DIAG10)
         assert op_norm(ac) <= 1e-12
         assert all(step.trace <= 1e-12 for step in record.steps)
-        assert record.converged and record.steps[-1].gap == pytest.approx(0.0, abs=1e-15)
+        assert record.steps[-1].gap == pytest.approx(0.0, abs=1e-15)
 
     def test_diagonal_support_split(self):
         ac, _ = ac_part_iterative(PsdMatrix(np.diag([1.0, 1.0])), DIAG10)
@@ -75,19 +74,49 @@ class TestIterative:
             traces = [step.trace for step in steps]
             assert all(b >= a - 1e-9 for a, b in zip(traces, traces[1:]))
 
-    def test_convergence_error_carries_trace(self):
+    def test_record_stops_at_first_step_within_threshold(self):
+        # the record ends at the first k whose distance to the limit is within
+        # conv_tol * trace_norm(S), and that k is at most the derived bound
+        # K = ceil(log2(sum_i d_i / a_i^2 / threshold))
         rng = make_rng(33)
-        s = random_psd(rng, 5)
-        tight = ToleranceConfig(max_iters=1)
-        with pytest.raises(ConvergenceError) as excinfo:
-            ac_part_iterative(s, PsdMatrix(np.eye(5)), tight)
-        record = excinfo.value.trace
-        assert record is not None and not record.converged and len(record.steps) == 1
+        cfg = ToleranceConfig()
+        for dim in (3, 5, 8):
+            s = random_psd(rng, dim)
+            t = random_psd(rng, dim, rank=dim - 1)
+            _, record = ac_part_iterative(s, t, cfg)
+            family = _ScaledParallelSums(s, t, cfg)
+            threshold = cfg.conv_tol * trace_norm(s)
+            distances = [family.gap(2.0 * step.scale, np.inf) for step in record.steps]
+            assert all(d > threshold for d in distances[:-1]) and distances[-1] <= threshold
+            assert [step.k for step in record.steps] == list(range(len(record.steps)))
+            assert record.steps[-1].k <= math.ceil(math.log2(family.reach() / threshold))
+
+    def test_passing_the_derived_bound_is_a_consistency_error(self, monkeypatch):
+        # weights that break their own bound: K computes to 0 for a pair that
+        # needs about 30 doublings, and the fall-through names stage and margin
+        monkeypatch.setattr(_ScaledParallelSums, "reach", lambda self: 1e-12)
+        with pytest.raises(ConsistencyError, match="derived bound") as excinfo:
+            ac_part_iterative(EYE2, EYE2)
+        details = excinfo.value.details
+        assert details["stage"] == "monotone approximation"
+        assert details["distance"] > details["threshold"] == pytest.approx(2e-9)
+
+    @pytest.mark.parametrize("floor", [1.01e-10, 2e-10, 4e-10])
+    def test_reference_near_the_rank_cutoff(self, floor):
+        # T = diag(1, floor) is full rank at the 1e-10 cutoff, so ac = S and
+        # c = 1 / floor; the pair needs 61 to 63 steps, all within its bound
+        t = PsdMatrix(np.diag([1.0, floor]))
+        dec = decompose(EYE2, t)
+        np.testing.assert_allclose(dec.ac.array, np.eye(2), rtol=0, atol=1e-12)
+        assert dec.uniqueness.c == pytest.approx(1.0 / floor, rel=1e-12)
+        family = _ScaledParallelSums(EYE2, t, ToleranceConfig())
+        bound = math.ceil(math.log2(family.reach() / (ToleranceConfig().conv_tol * 2.0)))
+        assert len(dec.trace_of_iteration.steps) <= bound
 
     def test_zero_reference(self):
         ac, record = ac_part_iterative(ONES, PsdMatrix(np.zeros((2, 2))))
         assert op_norm(ac) == 0.0
-        assert record.converged
+        assert len(record.steps) == 1
 
     def test_zero_operand(self):
         ac, _ = ac_part_iterative(PsdMatrix(np.zeros((2, 2))), DIAG10)

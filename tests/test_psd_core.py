@@ -73,7 +73,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [
         {"psd_tol": 0.0}, {"rank_cutoff": -1e-3}, {"conv_tol": float("inf")},
-        {"max_iters": 0}, {"max_iters": 2.5},
+        {"conv_tol": float("nan")}, {"psd_tol": "1e-10"},
     ])
     def test_tolerance_config_rejects(self, bad):
         with pytest.raises(ValidationError):
