@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class L1Sequence:
             return self.prefix[n - 1]
         if self.tail is None:
             return 0.0
-        return self.tail.a * self.tail.r ** (n - len(self.prefix))
+        return self._tail((n - len(self.prefix),))[0]
 
     def log_value_at(self, n: int) -> float:
         """log of the value at index n, -inf at zeros; immune to underflow."""
@@ -115,8 +115,7 @@ class L1Sequence:
         out = np.zeros(count)
         out[:n_pref] = self.prefix[:n_pref]
         if self.tail is not None and count > len(self.prefix):
-            j = np.arange(1, count - len(self.prefix) + 1)
-            out[len(self.prefix):] = self.tail.a * self.tail.r ** j
+            out[len(self.prefix):] = self._tail(range(1, count - len(self.prefix) + 1))
         return out
 
     def total(self) -> float:
@@ -140,16 +139,22 @@ class L1Sequence:
 
     def materialized(self, upto: int) -> "L1Sequence":
         """Equivalent sequence whose prefix covers indices 1..upto.  Only the
-        indices past the prefix are built, each by the scalar a * r**j of
-        ``value_at``; a rebased tail whose scale underflows float64 is dropped."""
+        indices past the prefix are built, by the tail rule of ``value_at``; a
+        rebased tail whose scale underflows float64 is dropped."""
         extra = upto - len(self.prefix)
         if extra <= 0:
             return self
         if self.tail is None:
             return _computed_sequence(self.prefix + (0.0,) * extra, None)
+        body = self.prefix + self._tail(range(1, extra + 1))
+        tail = GeometricTail(body[-1], self.tail.r) if body[-1] > 0.0 else None
+        return _computed_sequence(body, tail)
+
+    def _tail(self, offsets: Iterable[int]) -> Tuple[float, ...]:
+        """Tail values a * r**j at offsets j >= 1 by the scalar pow, the one rule
+        past the prefix: numpy's vectorized pow differs from it in the last bit."""
         a, r = self.tail.a, self.tail.r
-        body = self.prefix + tuple(a * r ** j for j in range(1, extra + 1))
-        return _computed_sequence(body, GeometricTail(body[-1], r) if body[-1] > 0.0 else None)
+        return tuple(a * r ** j for j in offsets)
 
 
 def _computed_sequence(prefix: Tuple[float, ...], tail: Optional[GeometricTail]) -> L1Sequence:

@@ -40,23 +40,21 @@ class _ScaledParallelSums:
     value in [1/2, 1), so (n T) : S = u_S^2 (m T') : S' with m = n * ratio
     exactly, ratio = u_T^2 / u_S^2 a power of four; the monotone schedule
     counts m, not n.  The Gram matrix of [L' R'] yields an orthonormal basis
-    W = [W1; W2] of its range and the scale enters only through the perfectly
-    conditioned scalar filter phi_i(m) = m / ((1 - a_i) + m a_i), where a_i are
-    the eigenvalues of W1* W1:
+    W = [W1; W2] of its range.  With a_i, U the eigenpairs of W1* W1, each
+    component has one basis image Y_i = [L' R'] (W U)_i, no shorter than the
+    smallest kept singular value of [L' R'], and one weight in the filter
+    phi_i(m) = m / ((1 - a_i) + m a_i), through which alone the scale enters:
 
-        (m T') : S'  =  F diag(phi_i(m)) H*,   F = L' W1 U,  H = R' W2 U.
+        (m T') : S'  =  sum_i phi_i(m) a_i (1 - a_i) Y_i Y_i*.
 
-    Components with a_i = 0 have identically vanishing F columns and are
-    dropped, which keeps the limit n -> inf finite.  Accuracy is uniform in n.
-
-    In exact arithmetic H_i = ((1 - a_i) / a_i) F_i, so every component is a
-    rank-one PSD term of trace d_i = Re(H_i* F_i), and phi_i is nondecreasing
-    in n because a_i lies in (0, 1].  Both facts are certified once, at
-    construction and in O(n r), which makes every member of the family PSD,
-    the family Loewner-monotone, and the trace norm of the step from n to m
-    equal to sum_i (phi_i(m) - phi_i(n)) d_i.  Traces, gaps and domination
-    constants of the members are then read off in O(r), and a member's factor,
-    F_i / |F_i| times sqrt(phi_i d_i), drops the weightless components.
+    Directions Y_i / |Y_i|, traces d_i = a_i (1 - a_i) |Y_i|^2 u_S^2 and the
+    domination constants are read off a_i and Y_i alone, in O(r) per member
+    and uniformly accurate in n.  Components with a_i = 0 have no part in T
+    (F_i = 0) and are dropped, which keeps the limit n -> inf finite; a_i in (0, 1]
+    makes phi_i nondecreasing, so the family is Loewner-monotone with steps of
+    trace norm sum_i (phi_i(m) - phi_i(n)) d_i.  The split Y_i = F_i + H_i,
+    F = L' W1 U = a Y and H = R' W2 U = (1 - a) Y in exact arithmetic, is
+    certified once at construction and decides which components carry weight.
     """
 
     def __init__(self, s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig):
@@ -81,13 +79,13 @@ class _ScaledParallelSums:
         self._weights = a[live]
         self._front = left @ (top @ U[:, live])
         self._back = right @ (bottom @ U[:, live])
-        mass = self._certify(math.sqrt(s.lam_max) / unit_s * math.sqrt(t.lam_max) / unit_t, cfg)
-        carried = mass > 0.0
-        norm = np.linalg.norm(self._front[:, carried], axis=0)
-        self._weights = self._weights[carried]
-        self._front = self._front[:, carried] / norm
-        self._mass = mass[carried] * unit_s**2
-        self._rate = self._mass * self._weights / (norm * unit_t) ** 2
+        carried = self._certify(math.sqrt(s.lam_max) / unit_s * math.sqrt(t.lam_max) / unit_t, cfg)
+        a = self._weights = self._weights[carried]
+        image = self._front[:, carried] + self._back[:, carried]
+        norm = np.linalg.norm(image, axis=0)
+        self._direction = image / norm
+        self._mass = a * (1.0 - a) * norm**2 * unit_s**2
+        del self._front, self._back  # the certificate's inputs, not kept
 
     @staticmethod
     def _factor(matrix: PsdMatrix, cfg: ToleranceConfig) -> Tuple[np.ndarray, float]:
@@ -98,20 +96,19 @@ class _ScaledParallelSums:
 
     def _certify(self, joint: float, cfg: ToleranceConfig) -> np.ndarray:
         """Check that every component is a rank-one PSD term with a filter
-        nondecreasing in n; return each component's trace d_i, zero for the
-        components admitted without weight.
+        nondecreasing in n; return which components carry weight.
 
-        By Cauchy-Schwarz d_i <= |F_i| |H_i|, with equality exactly when H_i is
-        a positive multiple of F_i; the Hermitian part of F_i H_i* has the
-        eigenvalues (d_i +- |F_i| |H_i|) / 2, so a component counts as PSD when
+        By Cauchy-Schwarz the trace e_i = Re(H_i* F_i) is at most |F_i| |H_i|,
+        with equality exactly when H_i is a positive multiple of F_i; F_i H_i*
+        has Hermitian eigenvalues (e_i +- |F_i| |H_i|) / 2, so it counts as PSD when
         its negative eigenvalue stays within psd_tol of its trace.  A component
         that fails the test is admitted only if its term stays below the
         resolution of the factorization in every member of the family:
         |F_i| |H_i| / a_i (phi_i <= 1 / a_i) at most sqrt(rank_cutoff) times
         the joint magnitude sqrt(lambda_max(S') lambda_max(T')), which bounds
         |F_i| |H_i|.  Such components come from the a_i = 1 columns, whose H_i
-        vanishes in exact arithmetic, and carry no weight.  Any other failure
-        raises ConsistencyError.
+        vanishes in exact arithmetic, and carry no weight, as do components
+        with e_i = 0.  Any other failure raises ConsistencyError.
         """
         a = self._weights
         if np.any((a <= 0.0) | (a > 1.0)):
@@ -131,7 +128,7 @@ class _ScaledParallelSums:
                 details={"component": worst, "trace": float(mass[worst]),
                          "bound": float(product[worst])},
             )
-        return np.where(psd_term, mass, 0.0)
+        return psd_term & (mass > 0.0)
 
     def _filter(self, scale: float) -> np.ndarray:
         a, m = self._weights, scale * self.ratio
@@ -139,7 +136,7 @@ class _ScaledParallelSums:
 
     def factor_at(self, scale: float) -> np.ndarray:
         """A factor X of (scale * T) : S = X X*."""
-        return self._front * np.sqrt(self._filter(scale) * self._mass)
+        return self._direction * np.sqrt(self._filter(scale) * self._mass)
 
     def at_scale(self, scale: float) -> np.ndarray:
         """(scale * T) : S as a Hermitian array."""
@@ -175,15 +172,13 @@ class _ScaledParallelSums:
         return float(np.sum(self._mass / self._weights**2))
 
     def domination_at(self, scale: float) -> float:
-        """Smallest c with (scale * T) : S <= c T.
+        """Smallest c with (scale * T) : S <= c T, from the weights alone.
 
-        Whitened by T', the front factor becomes W1 U, whose Gram matrix is
-        diag(a); the member is then diagonal with entries phi_i d_i a_i / |F_i|^2,
-        and c carries the exact factor u_S^2 / u_T^2 back to T.
+        Whitened by T', the vectors F_i = a_i Y_i become the columns of W1 U,
+        of Gram matrix diag(a), so (m T') : S' is diagonal with entries
+        phi_i(m) (1 - a_i); dividing by ratio carries c from T' back to T.
         """
-        if self._rate.size == 0:
-            return 0.0
-        return float(np.max(self._filter(scale) * self._rate))
+        return float(np.max(self._filter(scale) * (1.0 - self._weights), initial=0.0)) / self.ratio
 
 
 def parallel_sum(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:

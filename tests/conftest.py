@@ -75,6 +75,23 @@ def structured_pair(structure, dim, seed):
             _gram(range_t @ _gaussian(rng, rank, 3 * rank // 2)))
 
 
+GRADED_FLOORS = (1.5e-10, 3e-10, 1e-9)
+
+
+def graded_panel(floor):
+    """Six pairs of a random_psd S (n = 8, 32; three draws each) against a real
+    full-rank T = Q diag(geomspace(1, floor, n)) Q^T, whose eigenvalues reach
+    down to floor * lambda_max(T); one generator per floor."""
+    rng = np.random.default_rng(0)
+    pairs = []
+    for dim in (8, 32):
+        for _ in range(3):
+            s = random_psd(rng, dim)
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            pairs.append((s, PsdMatrix((q * np.geomspace(1.0, floor, dim)) @ q.T)))
+    return pairs
+
+
 @pytest.fixture
 def rng():
     return make_rng(1234)

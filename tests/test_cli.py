@@ -8,7 +8,7 @@ import pytest
 
 from oplebesgue import psd_from_json
 from oplebesgue.cli import main
-from conftest import structured_pair
+from conftest import graded_panel, structured_pair
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -129,6 +129,17 @@ class TestDecompose:
         body = json.loads(out.read_text())["decomposition"]
         assert body["ac"]["real"] == [[1.0, 0.0], [0.0, 1.0]]
         assert body["c"] == pytest.approx(1.0 / floor, rel=1e-12)
+
+    def test_graded_full_rank_reference_exits_0(self, tmp_path, capsys):
+        # T's eigenvalues run down to 3e-10 lambda_max(T): the iterative and
+        # closed routes must agree on a regular part equal to S
+        s, t = graded_panel(3e-10)[0]
+        s_path, t_path, out = tmp_path / "s.json", tmp_path / "t.json", tmp_path / "r.json"
+        _write_matrix(s_path, s.array)
+        _write_matrix(t_path, t.array)
+        code, _, err = run_cli(["--quiet", "decompose", s_path, t_path, out], capsys)
+        assert code == 0 and err == ""
+        assert not any(map(any, json.loads(out.read_text())["decomposition"]["sing"]["real"]))
 
 
 class TestCheckUnique:

@@ -51,6 +51,15 @@ class TestSequenceType:
         for n in (1, 5, 10, 11, 25):
             assert longer.value_at(n) == pytest.approx(HALF.value_at(n), rel=1e-12)
 
+    @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+    def test_tail_values_do_not_depend_on_the_count(self, r):
+        # one scalar rule for every tail value, however many are built
+        seq = L1Sequence((0.25,), GeometricTail(0.5, r))
+        for count in (3, 3000):
+            values = seq.values(count)
+            assert [float(v) for v in values] == [seq.value_at(j) for j in range(1, count + 1)]
+            assert seq.materialized(count).prefix == tuple(values)
+
     def test_rejects_negative_values(self):
         with pytest.raises(ValidationError):
             L1Sequence((1.0, -0.5))

@@ -22,7 +22,8 @@ from oplebesgue import (
     trace_norm,
     uniqueness_certificate,
 )
-from conftest import make_rng, random_psd, random_unitary, structured_pair
+from conftest import (GRADED_FLOORS, graded_panel, make_rng, random_psd, random_unitary,
+                      structured_pair)
 
 lebesgue = importlib.import_module("oplebesgue.lebesgue")
 _ScaledParallelSums = importlib.import_module("oplebesgue.parallel_sum")._ScaledParallelSums
@@ -408,6 +409,19 @@ class TestScaleCovariance:
                 assert drift <= 1e-12, f"{structure} at ({alpha:g}, {beta:g}): {drift:.3e}"
                 assert dec.uniqueness.unique
 
+
+class TestGradedReference:
+    """A full-rank T with eigenvalues down to 1.5e-10 lambda_max(T) leaves no
+    singular part, and the iterative route must reach the closed form: every
+    quantity of an engine component is read off one well-conditioned vector,
+    so small weights cost no accuracy."""
+
+    @pytest.mark.parametrize("floor", GRADED_FLOORS)
+    def test_graded_reference_decomposes(self, floor):
+        for s, t in graded_panel(floor):
+            dec = decompose(s, t)
+            assert not np.any(dec.sing.array), f"n={s.dim}"
+            assert dec.uniqueness.unique
 
 class TestFactoredSplit:
     """decompose returns the two factors of the kernel-projection form: exact

@@ -12,8 +12,8 @@ from oplebesgue import (
     parallel_sum,
     trace,
 )
-from oplebesgue.psd_core import DEFAULT_CONFIG
-from conftest import make_rng, random_psd, random_unitary
+from oplebesgue.psd_core import DEFAULT_CONFIG, trace_norm
+from conftest import GRADED_FLOORS, graded_panel, make_rng, random_psd, random_unitary
 
 # the package re-exports the function parallel_sum under the module's name
 parallel_sum_module = importlib.import_module("oplebesgue.parallel_sum")
@@ -259,3 +259,12 @@ class TestOperandsAtTheirOwnScale:
             assert np.all(np.isfinite(far._filter(scale)))
             assert np.isfinite(far.gap(scale, 2.0 * scale)) and far.gap(scale, 2.0 * scale) >= 0.0
             assert np.all(np.isfinite(far.factor_at(scale)))
+
+    @pytest.mark.parametrize("floor", GRADED_FLOORS)
+    def test_limit_of_a_graded_full_rank_reference_is_s(self, floor):
+        # T has full rank, so (n T) : S rises to S; components with weights
+        # down to about floor keep their direction to roundoff
+        for s, t in graded_panel(floor):
+            family = parallel_sum_module._ScaledParallelSums(s, t, DEFAULT_CONFIG)
+            error = trace_norm(family.at_scale(2.0**200) - s.array)
+            assert error <= 1e-12 * trace_norm(s), f"n={s.dim}: {error:.3e}"
