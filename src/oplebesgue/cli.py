@@ -17,6 +17,7 @@ timing lives in a ``timing`` block excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -106,16 +107,71 @@ def _json_number(value):
 
 
 def _write_atomic(path: str, data: str, quiet: bool):
+    """Write through a temporary file renamed over ``path``; on any failure the
+    temporary file is removed and ``path`` is left as it was."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     if not quiet:
         print(f"wrote {path}")
 
 
+def _pretty(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    ``indent`` makes the stdlib drop its C encoder, so lists and dicts are
+    walked here as its pure-Python encoder walks them, and each flat list of
+    numbers goes to the C encoder with the indented line break as its item
+    separator; every scalar goes to ``json.dumps``.  The text is gathered in
+    chunks and joined once.
+    """
+    chunks = []
+    _layout(obj, "\n", chunks)
+    return "".join(chunks)
+
+
+def _layout(obj, newline: str, chunks: list):
+    """Append the text of ``obj`` to ``chunks``; ``newline`` is the line break,
+    with its indent, of the nesting level ``obj`` sits at."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        chunks.append("[" + inner)
+        if set(map(type, obj)) <= {float, int}:
+            chunks.append(json.dumps(obj, separators=("," + inner, ": "))[1:-1])
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    chunks.append("," + inner)
+                _layout(item, inner, chunks)
+        chunks.append(newline + "]")
+    elif isinstance(obj, dict) and obj:
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            chunks.append(separator + _json_key(key) + ": ")
+            _layout(value, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "}")
+    else:
+        chunks.append(json.dumps(obj))
+
+
+def _json_key(key) -> str:
+    """An object key as ``json`` writes it: numbers, bools and null quoted."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _write_report(path: str, report: dict, quiet: bool):
-    _write_atomic(path, json.dumps(report, sort_keys=True, indent=2) + "\n", quiet)
+    _write_atomic(path, _pretty(report) + "\n", quiet)
 
 
 def cmd_decompose(args) -> int:

@@ -72,13 +72,14 @@ class L1Sequence:
     tail: Optional[GeometricTail] = None
 
     def __post_init__(self):
-        cleaned = []
-        for value in self.prefix:
-            v = float(value)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValidationError(f"sequence values must be finite and >= 0, got {value!r}")
-            cleaned.append(v)
-        object.__setattr__(self, "prefix", tuple(cleaned))
+        prefix = tuple(self.prefix)
+        # plain floats pass in one C-speed sweep when their sum is finite (no
+        # nan or inf) and their minimum is nonnegative; anything else is
+        # converted and checked entry by entry, and the first bad one is named
+        if not (set(map(type, prefix)) <= {float} and math.isfinite(sum(prefix))
+                and min(prefix, default=0.0) >= 0):
+            prefix = tuple(map(_sequence_value, prefix))
+        object.__setattr__(self, "prefix", prefix)
 
     @property
     def prefix_len(self) -> int:
@@ -155,6 +156,13 @@ class L1Sequence:
         past the prefix: numpy's vectorized pow differs from it in the last bit."""
         a, r = self.tail.a, self.tail.r
         return tuple(a * r ** j for j in offsets)
+
+
+def _sequence_value(value) -> float:
+    v = float(value)
+    if not (math.isfinite(v) and v >= 0):
+        raise ValidationError(f"sequence values must be finite and >= 0, got {value!r}")
+    return v
 
 
 def _computed_sequence(prefix: Tuple[float, ...], tail: Optional[GeometricTail]) -> L1Sequence:
@@ -370,25 +378,33 @@ def sequence_from_json(obj) -> L1Sequence:
     prefix = obj["prefix"]
     if not isinstance(prefix, list):
         raise ValidationError("'prefix' must be a list of numbers")
-    for value in prefix:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError("'prefix' entries must be numbers")
+    # plain floats and ints, the common case, are typed in one pass at C speed;
+    # anything else is decided entry by entry
+    types = set(map(type, prefix))
+    if not types <= {float, int}:
+        for value in prefix:
+            if not _is_number(value):
+                raise ValidationError("'prefix' entries must be numbers")
     tail_obj = obj.get("tail")
     tail = None
     if tail_obj is not None:
         if not isinstance(tail_obj, dict) or tail_obj.get("type") != "geometric":
             raise ValidationError("'tail' must be null or {'type': 'geometric', 'a': ..., 'r': ...}")
-        if not all(isinstance(tail_obj.get(key), (int, float)) for key in ("a", "r")):
+        if not all(_is_number(tail_obj.get(key)) for key in ("a", "r")):
             raise ValidationError("geometric tail needs numeric 'a' and 'r'")
         tail = GeometricTail(float(tail_obj["a"]), float(tail_obj["r"]))
-    return L1Sequence(tuple(float(v) for v in prefix), tail)
+    return L1Sequence(tuple(prefix) if types <= {float} else tuple(map(float, prefix)), tail)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def sequence_to_json(seq: L1Sequence) -> dict:
     tail = None
     if seq.tail is not None:
         tail = {"type": "geometric", "a": seq.tail.a, "r": seq.tail.r}
-    return {"prefix": [float(v) for v in seq.prefix], "tail": tail}
+    return {"prefix": list(seq.prefix), "tail": tail}
 
 
 def certificate_to_json(cert: RatioCertificate, ladder=(1, 10, 100, 1e3, 1e4, 1e5, 1e6)) -> dict:

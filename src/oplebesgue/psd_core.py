@@ -18,6 +18,7 @@ whose spectrum is a function of an operand's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -324,6 +325,11 @@ def range_contained(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
 def _grid(obj, name: str, dim: int) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ValidationError(f"'{name}' must be a list of {dim} rows")
+    # the common case in one pass at C speed: square rows of plain floats and
+    # ints; anything else is decided, and its message chosen, entry by entry
+    if all(type(row) is list and len(row) == dim for row in obj):
+        if set(map(type, itertools.chain.from_iterable(obj))) <= {float, int}:
+            return np.array(obj, dtype=float)
     rows = []
     for row in obj:
         if not isinstance(row, list) or len(row) != dim:
@@ -362,7 +368,7 @@ def psd_from_json(obj, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
 
 def matrix_to_json(matrix) -> dict:
     arr = _as_array(matrix)
-    out = {"dim": int(arr.shape[0]), "real": [[float(v) for v in row] for row in arr.real]}
+    out = {"dim": int(arr.shape[0]), "real": arr.real.tolist()}
     if np.any(arr.imag != 0.0):
-        out["imag"] = [[float(v) for v in row] for row in arr.imag]
+        out["imag"] = arr.imag.tolist()
     return out

@@ -307,6 +307,37 @@ class TestConvergeReport:
         assert outs[0] == outs[1]
 
 
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from oplebesgue import cli
+
+        target = tmp_path / "out.json"
+        target.write_text("previous report\n")
+        real_open = open
+
+        class FullDisk:
+            """A file handle whose write stores a few bytes, then fails."""
+
+            def __init__(self, *args, **kwargs):
+                self.handle = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[:4])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            cli._write_atomic(str(target), "new report\n", quiet=True)
+        assert list(tmp_path.glob("*.tmp-*")) == []
+        assert target.read_text() == "previous report\n"
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "report.json"

@@ -285,6 +285,8 @@ class TestJson:
         {"prefix": "nope"},
         {"tail": None},
         {"prefix": [1.0, "x"]},
+        {"prefix": [1.0], "tail": {"type": "geometric", "a": True, "r": 0.5}},
+        {"prefix": [1.0], "tail": {"type": "geometric", "a": 1.0, "r": False}},
     ])
     def test_rejects_malformed(self, blob):
         with pytest.raises(ValidationError):

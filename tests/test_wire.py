@@ -1,0 +1,186 @@
+"""The JSON wire format at both ends of the CLI.
+
+Reports are laid out exactly as ``json.dumps(report, sort_keys=True,
+indent=2)`` lays them out; the writer is held to that byte for byte.  Inputs
+take a one-pass path when every entry is a plain float or int; these tests
+pin that every accept/reject decision and every message stays that of the
+entry-by-entry check.
+"""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oplebesgue import L1Sequence, hermitian_from_json, psd_from_json, sequence_from_json
+from oplebesgue import cli
+from oplebesgue.cli import _pretty, main
+from oplebesgue.errors import ValidationError
+from conftest import structured_pair
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.fixture
+def captured_reports(monkeypatch):
+    """Every report object the CLI writes, alongside the bytes it wrote."""
+    seen = []
+    write = cli._write_report
+
+    def spy(path, report, quiet):
+        write(path, report, quiet)
+        seen.append((report, Path(path).read_text(encoding="utf-8")))
+
+    monkeypatch.setattr(cli, "_write_report", spy)
+    return seen
+
+
+class TestWriterMatchesStdlib:
+    @pytest.mark.parametrize("name", ["decompose_ones.json", "counterexample_half_h12.json"])
+    def test_goldens(self, name):
+        text = (GOLDEN / name).read_text(encoding="utf-8")
+        assert _pretty(json.loads(text)) + "\n" == text
+
+    def test_live_complex_matrix_report(self, tmp_path, captured_reports, capsys):
+        s, t = structured_pair("generic", 64, 0)
+        paths = []
+        for name, a in (("s.json", s), ("t.json", t)):
+            path = tmp_path / name
+            path.write_text(json.dumps({"dim": 64, "real": a.real.tolist(),
+                                        "imag": a.imag.tolist()}))
+            paths.append(path)
+        assert main(["--quiet", "decompose", *map(str, paths), str(tmp_path / "r.json")]) == 0
+        (report, written), = captured_reports
+        assert "imag" in report["decomposition"]["ac"]
+        assert written == _stdlib(report) + "\n"
+
+    def test_sequence_and_counterexample_reports(self, tmp_path, captured_reports, capsys):
+        lam_path, built = DATA / "lam_half.json", tmp_path / "ce.json"
+        assert main(["--quiet", "counterexample", str(lam_path), str(built),
+                     "--horizon", "2000"]) == 0
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps(json.loads(built.read_text())["s"]))
+        assert main(["--quiet", "decompose", str(mu_path), str(lam_path),
+                     str(tmp_path / "r.json")]) == 0
+        (counterexample, ce_written), (decomposition, dec_written) = captured_reports
+        assert len(counterexample["s"]["prefix"]) > 500
+        assert decomposition["decomposition"]["unique"] is False
+        assert ce_written == _stdlib(counterexample) + "\n"
+        assert dec_written == _stdlib(decomposition) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], [[]], {"a": {}, "b": []},
+        [-0.0, 0.0, 1, -1, 2**70, math.nan, math.inf, -math.inf, 1e-320],
+        [1.5, True], [None], ["a, b", "c\n, d"], (1.0, 2.0), {"t": (1, [2.0])},
+        {"é": [1.0], "ключ": {"a, b": "x\ny"}}, {1: [1.0], 2: {"x": 0.5}},
+        {1.5: [], -math.inf: 1, math.nan: None}, {None: 1}, {True: 0, 2: 1},
+    ])
+    def test_edge_cases(self, obj):
+        assert _pretty(obj) == _stdlib(obj)
+
+    @pytest.mark.parametrize("obj", [{(1, 2): 0.5}, [1.0, {"a": object()}]])
+    def test_unencodable_raises_as_stdlib(self, obj):
+        with pytest.raises(TypeError) as stdlib:
+            _stdlib(obj)
+        with pytest.raises(TypeError, match=re.escape(str(stdlib.value))):
+            _pretty(obj)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(), st.sampled_from(["a, b", ", ", "line\n, next", "é, ü\n"]),
+)
+_NUMBER_LISTS = st.lists(st.one_of(st.integers(), st.floats()), min_size=1, max_size=8)
+_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["é", "ключ", "a, b", "x\ny", ""]))
+_REPORTS = st.recursive(
+    _SCALARS | _NUMBER_LISTS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_KEYS, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORTS)
+def test_writer_matches_stdlib_on_random_reports(obj):
+    assert _pretty(obj) == _stdlib(obj)
+
+
+_OK = [[1.0, 0.0], [0.0, 1.0]]
+
+
+class TestGridDecisions:
+    @pytest.mark.parametrize("blob, message", [
+        ({"dim": 2, "real": [[1.0, True], [True, 1.0]]}, "'real' entries must be numbers"),
+        ({"dim": 2, "real": [[1.0, "0"], ["0", 1.0]]}, "'real' entries must be numbers"),
+        ({"dim": 2, "real": [[1.0, 0.0], [0.0]]},
+         "'real' must be a square 2x2 grid with no ragged rows"),
+        ({"dim": 2, "real": [[1.0, 0.0], (0.0, 1.0)]},
+         "'real' must be a square 2x2 grid with no ragged rows"),
+        ({"dim": 2, "real": [[1.0, 0.0]]}, "'real' must be a list of 2 rows"),
+        ({"dim": 2, "real": [[True, 0.0], [0.0]]}, "'real' entries must be numbers"),
+        ({"dim": 2, "real": _OK, "imag": [[0.0, 0.5], [-0.5]]},
+         "'imag' must be a square 2x2 grid with no ragged rows"),
+        ({"dim": 2, "real": _OK, "imag": [[0.0, False], [0.0, 0.0]]},
+         "'imag' entries must be numbers"),
+        ({"dim": 2, "real": _OK, "imag": [[0.0, 0.0]]}, "'imag' must be a list of 2 rows"),
+    ])
+    def test_rejections_keep_their_message(self, blob, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            psd_from_json(blob)
+
+    def test_numpy_floats_still_accepted(self):
+        blob = {"dim": 2, "real": [[np.float64(2.0), np.float64(0.5)], [0.5, 1.0]]}
+        np.testing.assert_array_equal(psd_from_json(blob).array, [[2.0, 0.5], [0.5, 1.0]])
+
+    def test_ints_become_the_floats_of_float(self):
+        ints = [3, 2**53 + 1, 2**62 + 2**9 + 1, 2**63 + 2**10 + 1, 2**64 + 2**11 + 1, 10**20 + 7]
+        grid = [[v if i == j else 0 for j in range(len(ints))] for i, v in enumerate(ints)]
+        array = hermitian_from_json({"dim": len(ints), "real": grid}).array
+        assert np.diag(array.real).tolist() == [float(v) for v in ints]
+
+
+class TestPrefixDecisions:
+    @pytest.mark.parametrize("blob, message", [
+        ({"prefix": [1.0, True]}, "'prefix' entries must be numbers"),
+        ({"prefix": [1.0, "2"]}, "'prefix' entries must be numbers"),
+        ({"prefix": [True], "tail": {"type": "poisson"}}, "'prefix' entries must be numbers"),
+        ({"prefix": [-1.0], "tail": {"type": "poisson"}}, "'tail' must be null or"),
+        ({"prefix": [0.5], "tail": {"type": "geometric", "a": True, "r": 0.5}},
+         "geometric tail needs numeric 'a' and 'r'"),
+        ({"prefix": [1.0, -1]}, "sequence values must be finite and >= 0, got -1.0"),
+        ({"prefix": [0.5, math.nan]}, "sequence values must be finite and >= 0, got nan"),
+        ({"prefix": [-2.0, math.inf]}, "sequence values must be finite and >= 0, got -2.0"),
+    ])
+    def test_rejections_keep_their_message(self, blob, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sequence_from_json(blob)
+
+    def test_numpy_floats_still_accepted(self):
+        seq = sequence_from_json({"prefix": [np.float64(0.25), 1.0]})
+        assert seq.prefix == (0.25, 1.0) and set(map(type, seq.prefix)) == {float}
+
+    def test_ints_become_the_floats_of_float(self):
+        ints = [0, 3, 2**53 + 1, 2**64 + 2**11 + 1, 10**20 + 7]
+        seq = sequence_from_json({"prefix": ints})
+        assert seq.prefix == tuple(float(v) for v in ints)
+        assert set(map(type, seq.prefix)) == {float}
+
+    def test_overflowing_sum_still_accepted(self):
+        assert sequence_from_json({"prefix": [1e308, 1e308]}).prefix == (1e308, 1e308)
+
+    def test_constructor_names_the_first_bad_entry(self):
+        with pytest.raises(ValidationError, match=re.escape("got -1")):
+            L1Sequence((0.5, -1, "x"))
+        seq = L1Sequence((np.float64(0.5), -0.0, 2))
+        assert seq.prefix == (0.5, 0.0, 2.0) and set(map(type, seq.prefix)) == {float}
