@@ -64,9 +64,15 @@ def _load_json(path: str):
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(payload), hashlib.sha256(payload).hexdigest()
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        return json.loads(payload, parse_int=_json_int), hashlib.sha256(payload).hexdigest()
+    except ValueError as exc:  # malformed, or an integer no float can hold
+        raise ValidationError(f"cannot read {path} as JSON: {exc}") from exc
+
+
+def _json_int(digits: str) -> int:
+    if math.isinf(float(digits)):
+        raise ValueError(f"an integer of {len(digits)} digits does not fit a float")
+    return int(digits)
 
 
 def _sniff_kind(obj) -> str:
@@ -122,6 +128,13 @@ def _write_atomic(path: str, data: str, quiet: bool):
         print(f"wrote {path}")
 
 
+def _write_output(path: str, data: str, quiet: bool):
+    try:
+        _write_atomic(path, data, quiet)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _pretty(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
@@ -171,7 +184,7 @@ def _json_key(key) -> str:
 
 
 def _write_report(path: str, report: dict, quiet: bool):
-    _write_atomic(path, _pretty(report) + "\n", quiet)
+    _write_output(path, _pretty(report) + "\n", quiet)
 
 
 def cmd_decompose(args) -> int:
@@ -264,7 +277,7 @@ def cmd_converge_report(args) -> int:
     writer.writerow(["k", "n", "gap_trace", "c_bound"])
     for step in trace.steps:
         writer.writerow([step.k, 2**step.k, repr(step.gap), repr(step.c_bound)])
-    _write_atomic(args.csv_path, buffer.getvalue(), args.quiet)
+    _write_output(args.csv_path, buffer.getvalue(), args.quiet)
     return EXIT_OK
 
 

@@ -73,12 +73,16 @@ class L1Sequence:
 
     def __post_init__(self):
         prefix = tuple(self.prefix)
-        # plain floats pass in one C-speed sweep when their sum is finite (no
-        # nan or inf) and their minimum is nonnegative; anything else is
-        # converted and checked entry by entry, and the first bad one is named
-        if not (set(map(type, prefix)) <= {float} and math.isfinite(sum(prefix))
+        # plain floats pass in one C-speed sweep when their sum is below 2**1023,
+        # half the float range (no nan, inf or overflow), and their minimum is
+        # nonnegative; anything else is checked entry by entry, then summed exactly
+        if not (set(map(type, prefix)) <= {float} and sum(prefix) < 2.0**1023
                 and min(prefix, default=0.0) >= 0):
             prefix = tuple(map(_sequence_value, prefix))
+            try:
+                math.fsum(prefix)
+            except OverflowError:
+                raise ValidationError("sequence prefix sums past the float64 range") from None
         object.__setattr__(self, "prefix", prefix)
 
     @property

@@ -46,14 +46,6 @@ from .psd_core import (
     trace,
 )
 
-# Truncation at which sequence-represented functionals are probed against
-# matrix panels when no explicit dimension is supplied.
-PROBE_DIM = 32
-
-# Size of the seeded random panel on which functional decompositions verify
-# their pointwise additivity before being returned.
-ADDITIVITY_PANEL = 50
-
 
 @dataclass(frozen=True)
 class NormalFunctional:
@@ -66,15 +58,13 @@ class NormalFunctional:
     def kind(self) -> str:
         return "matrix" if isinstance(self.rep, PsdMatrix) else "sequence"
 
-    def rep_matrix(self, dim: Optional[int] = None, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
-        """The representing operator as a matrix, truncating sequence reps."""
+    def rep_matrix(self, dim: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+        """The representing operator as a dim x dim matrix, truncating sequence reps."""
         if isinstance(self.rep, PsdMatrix):
-            if dim is not None and self.rep.dim != dim:
-                raise DimensionMismatchError(
-                    f"functional acts on dimension {self.rep.dim}, argument has {dim}"
-                )
+            if self.rep.dim != dim:
+                raise DimensionMismatchError(f"functional acts on dimension {self.rep.dim}, argument has {dim}")
             return self.rep
-        return truncate_to_matrix(self.rep, dim if dim is not None else PROBE_DIM, cfg)
+        return truncate_to_matrix(self.rep, dim, cfg)
 
 
 def _argument(a) -> HermitianMatrix:
@@ -100,42 +90,36 @@ def functional_leq(f: NormalFunctional, g: NormalFunctional, cfg: ToleranceConfi
 
 
 def functional_lebesgue(
-    g: NormalFunctional,
-    f: NormalFunctional,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-    panel_seed: int = 0,
+    g: NormalFunctional, f: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> Tuple[NormalFunctional, NormalFunctional]:
     """Split g into its f-regular and f-singular parts.
 
-    The split happens on the representatives; before returning, pointwise
-    additivity g = g_r + g_s is verified on a seeded panel of random Hermitian
-    arguments A, each against the Cauchy-Schwarz scale |A|_F trace(G) of g(A).
+    The split happens on the representatives, and g = g_r + g_s is checked
+    exactly on them before returning.  For matrices the residual G - G_r - G_s
+    is Hermitian, so its Frobenius norm is the largest |g(A) - g_r(A) - g_s(A)|
+    over |A|_F = 1; it must stay within ADDITIVITY_RTOL trace(G).  A sequence
+    split sends each entry wholesale to one side, so ac + sing = s must hold in
+    exact float arithmetic over the whole aligned prefix, with the tail of s
+    on exactly one side.
     """
     if f.kind != g.kind:
         raise ValidationError(f"cannot decompose a {g.kind} functional against a {f.kind} one")
+    if g.kind == "matrix":
+        split = decompose(g.rep, f.rep, cfg)
+        residual = float(np.linalg.norm(g.rep.array - split.ac.array - split.sing.array))
+        if residual > ADDITIVITY_RTOL * trace(g.rep):
+            raise ConsistencyError(f"functional split is not additive (Frobenius residual "
+                                   f"{residual:.3e} against trace(G) {trace(g.rep):.3e})")
+    else:
+        split = _diag_split(g.rep, f.rep)
+        aligned = g.rep.materialized(max(g.rep.prefix_len, f.rep.prefix_len))
+        ac, sing = split.ac, split.sing
+        if not (len(ac.prefix) == len(sing.prefix) == aligned.prefix_len
+                and (ac.tail, sing.tail) in ((aligned.tail, None), (None, aligned.tail))
+                and all(a + b == v for a, b, v in zip(ac.prefix, sing.prefix, aligned.prefix))):
+            raise ConsistencyError("functional split is not additive on the aligned prefix or tail")
     base = g.label or "g"
-    split = decompose(g.rep, f.rep, cfg) if g.kind == "matrix" else _diag_split(g.rep, f.rep)
-    regular = NormalFunctional(split.ac, label=f"{base}_r")
-    singular = NormalFunctional(split.sing, label=f"{base}_s")
-    _verify_additivity(g, regular, singular, cfg, panel_seed)
-    return regular, singular
-
-
-def _verify_additivity(g, regular, singular, cfg, seed):
-    dim = g.rep.dim if g.kind == "matrix" else PROBE_DIM
-    g, regular, singular = (NormalFunctional(x.rep_matrix(dim, cfg)) for x in (g, regular, singular))
-    mass = trace(g.rep)
-    rng = np.random.default_rng(seed)
-    for _ in range(ADDITIVITY_PANEL):
-        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        probe = HermitianMatrix((raw + raw.conj().T) / 2)
-        total = evaluate(g, probe, cfg)
-        split = evaluate(regular, probe, cfg) + evaluate(singular, probe, cfg)
-        if abs(total - split) > ADDITIVITY_RTOL * np.linalg.norm(probe.array) * mass:
-            raise ConsistencyError(
-                f"functional split is not additive on the verification panel "
-                f"({total} vs {split})"
-            )
+    return NormalFunctional(split.ac, label=f"{base}_r"), NormalFunctional(split.sing, label=f"{base}_s")
 
 
 def regular_part_approximants(

@@ -327,18 +327,15 @@ def _grid(obj, name: str, dim: int) -> np.ndarray:
         raise ValidationError(f"'{name}' must be a list of {dim} rows")
     # the common case in one pass at C speed: square rows of plain floats and
     # ints; anything else is decided, and its message chosen, entry by entry
-    if all(type(row) is list and len(row) == dim for row in obj):
-        if set(map(type, itertools.chain.from_iterable(obj))) <= {float, int}:
-            return np.array(obj, dtype=float)
-    rows = []
-    for row in obj:
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValidationError(f"'{name}' must be a square {dim}x{dim} grid with no ragged rows")
-        for value in row:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"'{name}' entries must be numbers")
-        rows.append([float(v) for v in row])
-    return np.array(rows, dtype=float)
+    if not (all(type(row) is list and len(row) == dim for row in obj)
+            and set(map(type, itertools.chain.from_iterable(obj))) <= {float, int}):
+        for row in obj:
+            if not isinstance(row, list) or len(row) != dim:
+                raise ValidationError(f"'{name}' must be a square {dim}x{dim} grid with no ragged rows")
+            for value in row:
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValidationError(f"'{name}' entries must be numbers")
+    return np.array(obj, dtype=float)
 
 
 def _array_from_json(obj) -> np.ndarray:
@@ -350,10 +347,11 @@ def _array_from_json(obj) -> np.ndarray:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
-    real = _grid(obj["real"], "real", dim)
+    # assigned, not multiplied by 1j, so an infinite entry stays inf, not nan
+    array = _grid(obj["real"], "real", dim).astype(complex)
     if obj.get("imag") is not None:
-        return real + 1j * _grid(obj["imag"], "imag", dim)
-    return real
+        array.imag = _grid(obj["imag"], "imag", dim)
+    return array
 
 
 def hermitian_from_json(obj) -> HermitianMatrix:

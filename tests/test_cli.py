@@ -307,6 +307,66 @@ class TestConvergeReport:
         assert outs[0] == outs[1]
 
 
+HUGE = "1" + "0" * 400  # an integer JSON reads exactly and no float can hold
+MATRIX_1 = '{"dim": 1, "real": [[1.0]]}'
+SEQUENCE_1 = '{"prefix": [1.0], "tail": null}'
+
+
+def assert_invalid(code, err, *needles):
+    assert code == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err, err
+
+
+class TestOutOfRangeNumbers:
+    """Numbers JSON can carry but float64 cannot are invalid input, exit 2."""
+
+    @pytest.mark.parametrize("s_text, t_text", [
+        ('{"dim": 1, "real": [[%s]]}' % HUGE, MATRIX_1),
+        ('{"dim": 1, "real": [[1.0]], "imag": [[%s]]}' % HUGE, MATRIX_1),
+        ('{"prefix": [1.0, %s], "tail": null}' % HUGE, SEQUENCE_1),
+        ('{"prefix": [], "tail": {"type": "geometric", "a": %s, "r": 0.5}}' % HUGE, SEQUENCE_1),
+        ('{"prefix": [], "tail": {"type": "geometric", "a": 1.0, "r": %s}}' % HUGE, SEQUENCE_1),
+        # past the 4300-digit limit of Python's int parsing
+        ('{"prefix": [%s], "tail": null}' % ("1" * 5000), SEQUENCE_1),
+    ], ids=["real", "imag", "prefix", "tail_a", "tail_r", "past_the_digit_limit"])
+    def test_integer_that_does_not_fit_a_float_exits_2(self, tmp_path, capsys, s_text, t_text):
+        s_path, t_path = tmp_path / "s.json", tmp_path / "t.json"
+        s_path.write_text(s_text)
+        t_path.write_text(t_text)
+        code, _, err = run_cli(["--quiet", "decompose", s_path, t_path, tmp_path / "r.json"],
+                               capsys)
+        assert_invalid(code, err, f"cannot read {s_path} as JSON", "does not fit a float")
+
+    def test_infinite_imaginary_part_exits_2(self, tmp_path, capsys):
+        s_path = tmp_path / "s.json"
+        s_path.write_text('{"dim": 1, "real": [[1.0]], "imag": [[1e400]]}')
+        code, _, err = run_cli(["--quiet", "decompose", s_path, DATA / "t_diag10.json",
+                                tmp_path / "r.json"], capsys)
+        assert_invalid(code, err, "finite")
+
+    def test_prefix_whose_sum_overflows_exits_2(self, tmp_path, capsys):
+        s_path = tmp_path / "s.json"
+        s_path.write_text(json.dumps({"prefix": [1e308, 1e308], "tail": None}))
+        code, _, err = run_cli(["--quiet", "decompose", s_path, DATA / "t_seq.json",
+                                tmp_path / "r.json"], capsys)
+        assert_invalid(code, err, "float64 range")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ["decompose", DATA / "s_ones.json", DATA / "t_diag10.json"],
+        ["counterexample", DATA / "lam_half.json"],
+        ["converge-report", DATA / "s_ones.json", DATA / "t_diag10.json"],
+    ], ids=lambda command: command[0])
+    def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out"
+        code, _, err = run_cli(["--quiet", *command, out], capsys)
+        assert_invalid(code, err, f"cannot write {out}")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAtomicWrite:
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         from oplebesgue import cli

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ class TestSequenceType:
     def test_rejects_negative_values(self):
         with pytest.raises(ValidationError):
             L1Sequence((1.0, -0.5))
+
+    @pytest.mark.parametrize("prefix", [
+        (1e308, 1e308),
+        # the plain sum rounds to the largest float; the exact sum overflows
+        (sys.float_info.max, 2.0**969, 2.0**969),
+    ])
+    def test_rejects_a_prefix_whose_sum_overflows(self, prefix):
+        with pytest.raises(ValidationError, match="float64 range"):
+            L1Sequence(prefix)
+        assert L1Sequence(prefix[:1]).total() == prefix[0]
 
     def test_rejects_non_summable_tail(self):
         with pytest.raises(ValidationError, match="summab"):

@@ -169,6 +169,30 @@ class TestLebesgue:
         with pytest.raises(ConsistencyError, match="not additive"):
             functional_lebesgue(g, f)
 
+    @pytest.mark.parametrize("defect", [
+        # a 1.5x entry at index 40, past any fixed truncation of 32
+        lambda ac: L1Sequence(ac.prefix[:39] + (1.5 * ac.prefix[39],) + ac.prefix[40:], ac.tail),
+        lambda ac: L1Sequence(ac.prefix, GeometricTail(1.5 * ac.tail.a, ac.tail.r)),
+        lambda ac: L1Sequence(ac.prefix[:-1], ac.tail),
+    ], ids=["entry_past_32", "scaled_tail", "truncated_prefix"])
+    def test_planted_sequence_defect_fails_additivity(self, monkeypatch, defect):
+        """The sequence split is checked over its whole aligned prefix and its
+        tail, so a defect anywhere in either is caught."""
+        split = functionals._diag_split
+
+        def planted(s, t):
+            exact = split(s, t)
+            return dataclasses.replace(exact, ac=defect(exact.ac))
+
+        rng = make_rng(66)
+        s = L1Sequence(tuple(rng.uniform(0.5, 1.0, 48)), GeometricTail(0.5, 0.5))
+        t = L1Sequence(tuple(float(i % 3 != 1) for i in range(48)), GeometricTail(1.0, 0.5))
+        g, f = NormalFunctional(s), NormalFunctional(t)
+        functional_lebesgue(g, f)
+        monkeypatch.setattr(functionals, "_diag_split", planted)
+        with pytest.raises(ConsistencyError, match="not additive"):
+            functional_lebesgue(g, f)
+
     def test_monotone_approximants_certify_almost_domination(self):
         rng = make_rng(70)
         g = f_of(random_psd(rng, 6).array, label="g")

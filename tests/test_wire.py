@@ -176,8 +176,12 @@ class TestPrefixDecisions:
         assert seq.prefix == tuple(float(v) for v in ints)
         assert set(map(type, seq.prefix)) == {float}
 
-    def test_overflowing_sum_still_accepted(self):
-        assert sequence_from_json({"prefix": [1e308, 1e308]}).prefix == (1e308, 1e308)
+    def test_overflowing_sum_is_rejected(self):
+        # past half the float range the prefix is summed exactly: a finite sum
+        # passes, one that overflows float64 is invalid input
+        assert sequence_from_json({"prefix": [1e308, 5e307]}).prefix == (1e308, 5e307)
+        with pytest.raises(ValidationError, match="float64 range"):
+            sequence_from_json({"prefix": [1e308, 1e308]})
 
     def test_constructor_names_the_first_bad_entry(self):
         with pytest.raises(ValidationError, match=re.escape("got -1")):
