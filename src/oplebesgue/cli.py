@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -39,7 +38,7 @@ from .diagonal import (
 from .errors import ConsistencyError, ValidationError
 from .functionals import NormalFunctional, functional_from_json, functional_uniqueness
 from .lebesgue import ac_part_iterative, decompose
-from .psd_core import ToleranceConfig, matrix_to_json, psd_from_json
+from .psd_core import CONV_TOL, PSD_TOL, RANK_CUTOFF, matrix_to_json, psd_from_json
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -51,10 +50,6 @@ DEFAULT_TRUNCATE = 32
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _config(args) -> ToleranceConfig:
-    return ToleranceConfig(psd_tol=args.psd_tol, conv_tol=args.tol)
 
 
 def _load_json(path: str):
@@ -188,12 +183,11 @@ def _write_report(path: str, report: dict, quiet: bool):
 
 
 def cmd_decompose(args) -> int:
-    cfg = _config(args)
     kind, (obj_s, digest_s), (obj_t, digest_t) = _load_pair(args.s_path, args.t_path)
     started = time.perf_counter()
     if kind == "matrix":
-        s, t = psd_from_json(obj_s, cfg), psd_from_json(obj_t, cfg)
-        dec = decompose(s, t, cfg)
+        s, t = psd_from_json(obj_s), psd_from_json(obj_t)
+        dec = decompose(s, t)
         steps = dec.trace_of_iteration.steps
         body = {
             "ac": matrix_to_json(dec.ac),
@@ -216,7 +210,7 @@ def cmd_decompose(args) -> int:
         raise ValidationError("decompose expects matrix or sequence inputs, not functionals")
     report = {
         "inputs": {"s": _echo(s, kind, digest_s), "t": _echo(t, kind, digest_t)},
-        "tolerances": dataclasses.asdict(cfg),
+        "tolerances": {"conv_tol": CONV_TOL, "psd_tol": PSD_TOL, "rank_cutoff": RANK_CUTOFF},
         "decomposition": body,
         "timing": {"elapsed_seconds": time.perf_counter() - started},
     }
@@ -224,22 +218,21 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _as_functional(obj, cfg) -> NormalFunctional:
+def _as_functional(obj) -> NormalFunctional:
     kind = _sniff_kind(obj)
     if kind == "functional":
-        return functional_from_json(obj, cfg)
+        return functional_from_json(obj)
     if kind == "matrix":
-        return NormalFunctional(psd_from_json(obj, cfg))
+        return NormalFunctional(psd_from_json(obj))
     return NormalFunctional(sequence_from_json(obj))
 
 
 def cmd_check_unique(args) -> int:
-    cfg = _config(args)
     obj_g, _ = _load_json(args.g_path)
     obj_f, _ = _load_json(args.f_path)
-    g = _as_functional(obj_g, cfg)
-    f = _as_functional(obj_f, cfg)
-    cert = functional_uniqueness(g, f, cfg)
+    g = _as_functional(obj_g)
+    f = _as_functional(obj_f)
+    cert = functional_uniqueness(g, f)
     print(json.dumps({"unique": cert.unique, "c": _json_number(cert.c)}, sort_keys=True))
     return EXIT_OK
 
@@ -262,16 +255,15 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_converge_report(args) -> int:
-    cfg = _config(args)
     kind, (obj_s, _), (obj_t, _) = _load_pair(args.s_path, args.t_path)
     if kind == "matrix":
-        s, t = psd_from_json(obj_s, cfg), psd_from_json(obj_t, cfg)
+        s, t = psd_from_json(obj_s), psd_from_json(obj_t)
     elif kind == "sequence":
-        s = truncate_to_matrix(sequence_from_json(obj_s), args.truncate, cfg)
-        t = truncate_to_matrix(sequence_from_json(obj_t), args.truncate, cfg)
+        s = truncate_to_matrix(sequence_from_json(obj_s), args.truncate)
+        t = truncate_to_matrix(sequence_from_json(obj_t), args.truncate)
     else:
         raise ValidationError("converge-report expects matrix or sequence inputs")
-    _, trace = ac_part_iterative(s, t, cfg)
+    _, trace = ac_part_iterative(s, t)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["k", "n", "gap_trace", "c_bound"])
@@ -287,10 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lebesgue decompositions of PSD operators: certificates, "
         "uniqueness checks and counterexample construction.",
     )
-    parser.add_argument("--tol", type=float, default=ToleranceConfig().conv_tol,
-                        help="relative trace-norm stopping threshold for iterations")
-    parser.add_argument("--psd-tol", type=float, default=ToleranceConfig().psd_tol,
-                        help="relative tolerance band for PSD validation")
     parser.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE,
                         help="sequence-to-matrix truncation horizon")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")

@@ -28,13 +28,14 @@ in log scale, without underflow.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError, ConsistencyError
-from .psd_core import DEFAULT_CONFIG, PsdMatrix, ToleranceConfig
+from .psd_core import PsdMatrix
 
 # Materialized prefix values are kept above this floor so products and ratios
 # of neighbouring entries stay inside normal float64 range.
@@ -52,12 +53,13 @@ class GeometricTail:
     r: float
 
     def __post_init__(self):
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a) and self.a > 0):
+        a, r = _as_float(self.a, "tail scale"), _as_float(self.r, "tail ratio")
+        if not (math.isfinite(a) and a > 0):
             raise ValidationError(f"tail scale must be a finite positive number, got {self.a!r}")
-        if not (isinstance(self.r, (int, float)) and 0 < self.r < 1):
-            raise ValidationError(
-                f"tail ratio must satisfy 0 < r < 1 for summability, got {self.r!r}"
-            )
+        if not 0 < r < 1:
+            raise ValidationError(f"tail ratio must satisfy 0 < r < 1 for summability, got {self.r!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r", r)
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,20 @@ class L1Sequence:
 
     def __post_init__(self):
         prefix = tuple(self.prefix)
-        # plain floats pass in one C-speed sweep when their sum is below 2**1023,
-        # half the float range (no nan, inf or overflow), and their minimum is
-        # nonnegative; anything else is checked entry by entry, then summed exactly
-        if not (set(map(type, prefix)) <= {float} and sum(prefix) < 2.0**1023
+        tail = 0.0 if self.tail is None else self.tail.a * self.tail.r / (1.0 - self.tail.r)
+        # plain floats pass in one C-speed sweep when their sum plus the tail's is
+        # below 2**1023, half the float range (no nan, inf or overflow), and their
+        # minimum is nonnegative; anything else is checked entry by entry, and the
+        # exact sum of the prefix plus the tail's must stay finite
+        if not (set(map(type, prefix)) <= {float} and sum(prefix) + tail < 2.0**1023
                 and min(prefix, default=0.0) >= 0):
             prefix = tuple(map(_sequence_value, prefix))
             try:
-                math.fsum(prefix)
+                total = math.fsum(prefix) + tail
             except OverflowError:
-                raise ValidationError("sequence prefix sums past the float64 range") from None
+                total = math.inf
+            if math.isinf(total):
+                raise ValidationError("sequence sums past the float64 range")
         object.__setattr__(self, "prefix", prefix)
 
     @property
@@ -162,10 +168,21 @@ class L1Sequence:
         return tuple(a * r ** j for j in offsets)
 
 
+def _as_float(value, what: str) -> float:
+    """A real number other than a bool, as a float; an int no float64 can hold
+    is out of range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} must fit a float64, got an int beyond its range") from None
+
+
 def _sequence_value(value) -> float:
-    v = float(value)
+    v = _as_float(value, "sequence value")
     if not (math.isfinite(v) and v >= 0):
-        raise ValidationError(f"sequence values must be finite and >= 0, got {value!r}")
+        raise ValidationError(f"sequence values must be finite and >= 0, got {v!r}")
     return v
 
 
@@ -362,11 +379,11 @@ def counterexample_pair(
     return lam, mu
 
 
-def truncate_to_matrix(x: L1Sequence, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+def truncate_to_matrix(x: L1Sequence, n: int) -> PsdMatrix:
     """Diagonal n x n matrix of the first n values (bridge to the matrix engine)."""
     if n < 1:
         raise ValidationError(f"truncation size must be >= 1, got {n}")
-    return PsdMatrix(np.diag(x.values(n)), cfg)
+    return PsdMatrix(np.diag(x.values(n)))
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -384,8 +401,7 @@ def sequence_from_json(obj) -> L1Sequence:
         raise ValidationError("'prefix' must be a list of numbers")
     # plain floats and ints, the common case, are typed in one pass at C speed;
     # anything else is decided entry by entry
-    types = set(map(type, prefix))
-    if not types <= {float, int}:
+    if not set(map(type, prefix)) <= {float, int}:
         for value in prefix:
             if not _is_number(value):
                 raise ValidationError("'prefix' entries must be numbers")
@@ -396,8 +412,8 @@ def sequence_from_json(obj) -> L1Sequence:
             raise ValidationError("'tail' must be null or {'type': 'geometric', 'a': ..., 'r': ...}")
         if not all(_is_number(tail_obj.get(key)) for key in ("a", "r")):
             raise ValidationError("geometric tail needs numeric 'a' and 'r'")
-        tail = GeometricTail(float(tail_obj["a"]), float(tail_obj["r"]))
-    return L1Sequence(tuple(prefix) if types <= {float} else tuple(map(float, prefix)), tail)
+        tail = GeometricTail(tail_obj["a"], tail_obj["r"])
+    return L1Sequence(tuple(prefix), tail)
 
 
 def _is_number(value) -> bool:

@@ -36,10 +36,10 @@ from .diagonal import (
 from .errors import DimensionMismatchError, ConsistencyError, ValidationError
 from .lebesgue import ADDITIVITY_RTOL, UniquenessCertificate, decompose, uniqueness_certificate
 from .psd_core import (
-    DEFAULT_CONFIG,
+    PSD_TOL,
     HermitianMatrix,
     PsdMatrix,
-    ToleranceConfig,
+    _unit,
     loewner_leq,
     matrix_to_json,
     psd_from_json,
@@ -58,46 +58,47 @@ class NormalFunctional:
     def kind(self) -> str:
         return "matrix" if isinstance(self.rep, PsdMatrix) else "sequence"
 
-    def rep_matrix(self, dim: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+    def rep_matrix(self, dim: int) -> PsdMatrix:
         """The representing operator as a dim x dim matrix, truncating sequence reps."""
         if isinstance(self.rep, PsdMatrix):
             if self.rep.dim != dim:
                 raise DimensionMismatchError(f"functional acts on dimension {self.rep.dim}, argument has {dim}")
             return self.rep
-        return truncate_to_matrix(self.rep, dim, cfg)
+        return truncate_to_matrix(self.rep, dim)
 
 
 def _argument(a) -> HermitianMatrix:
     return a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
 
 
-def evaluate(f: NormalFunctional, a, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+def evaluate(f: NormalFunctional, a) -> float:
     """f(A) = trace(A T), the O(n^2) pairing vdot(T, A) for Hermitian A and T.
     Sequence representatives act through truncation."""
     arg = _argument(a)
-    rep = f.rep_matrix(arg.dim, cfg)
+    rep = f.rep_matrix(arg.dim)
     return float(np.vdot(rep.array, arg.array).real)
 
 
-def functional_leq(f: NormalFunctional, g: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+def functional_leq(f: NormalFunctional, g: NormalFunctional) -> bool:
     """Order between functionals, decided on the representing operators."""
     if f.kind != g.kind:
         raise ValidationError(f"cannot order a {f.kind} functional against a {g.kind} one")
     if f.kind == "matrix":
-        return loewner_leq(f.rep, g.rep, cfg)
+        return loewner_leq(f.rep, g.rep)
     c = diag_is_dominated(f.rep, g.rep)
-    return c is not None and c <= 1.0 + cfg.psd_tol
+    return c is not None and c <= 1.0 + PSD_TOL
 
 
 def functional_lebesgue(
-    g: NormalFunctional, f: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG
+    g: NormalFunctional, f: NormalFunctional
 ) -> Tuple[NormalFunctional, NormalFunctional]:
     """Split g into its f-regular and f-singular parts.
 
     The split happens on the representatives, and g = g_r + g_s is checked
     exactly on them before returning.  For matrices the residual G - G_r - G_s
     is Hermitian, so its Frobenius norm is the largest |g(A) - g_r(A) - g_s(A)|
-    over |A|_F = 1; it must stay within ADDITIVITY_RTOL trace(G).  A sequence
+    over |A|_F = 1; it must stay within ADDITIVITY_RTOL trace(G), both taken
+    on G divided by its power of two so the norm cannot overflow.  A sequence
     split sends each entry wholesale to one side, so ac + sing = s must hold in
     exact float arithmetic over the whole aligned prefix, with the tail of s
     on exactly one side.
@@ -105,11 +106,12 @@ def functional_lebesgue(
     if f.kind != g.kind:
         raise ValidationError(f"cannot decompose a {g.kind} functional against a {f.kind} one")
     if g.kind == "matrix":
-        split = decompose(g.rep, f.rep, cfg)
-        residual = float(np.linalg.norm(g.rep.array - split.ac.array - split.sing.array))
-        if residual > ADDITIVITY_RTOL * trace(g.rep):
+        split = decompose(g.rep, f.rep)
+        unit = _unit(g.rep.array)
+        residual = float(np.linalg.norm((g.rep.array - split.ac.array - split.sing.array) / unit))
+        if residual > ADDITIVITY_RTOL * trace(g.rep) / unit:
             raise ConsistencyError(f"functional split is not additive (Frobenius residual "
-                                   f"{residual:.3e} against trace(G) {trace(g.rep):.3e})")
+                                   f"{residual * unit:.3e} against trace(G) {trace(g.rep):.3e})")
     else:
         split = _diag_split(g.rep, f.rep)
         aligned = g.rep.materialized(max(g.rep.prefix_len, f.rep.prefix_len))
@@ -122,9 +124,7 @@ def functional_lebesgue(
     return NormalFunctional(split.ac, label=f"{base}_r"), NormalFunctional(split.sing, label=f"{base}_s")
 
 
-def regular_part_approximants(
-    g: NormalFunctional, f: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> List[NormalFunctional]:
+def regular_part_approximants(g: NormalFunctional, f: NormalFunctional) -> List[NormalFunctional]:
     """The monotone sequence of f-dominated functionals climbing to the regular part.
 
     Certifies almost domination constructively rather than by a boolean: each
@@ -134,7 +134,7 @@ def regular_part_approximants(
     """
     if f.kind != "matrix" or g.kind != "matrix":
         raise ValidationError("approximant certificates are matrix-level objects")
-    record = decompose(g.rep, f.rep, cfg).trace_of_iteration
+    record = decompose(g.rep, f.rep).trace_of_iteration
     base = g.label or "g"
     return [
         NormalFunctional(step.approximant, label=f"{base}_r[{step.k}]")
@@ -142,14 +142,12 @@ def regular_part_approximants(
     ]
 
 
-def functional_uniqueness(
-    g: NormalFunctional, f: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> UniquenessCertificate:
+def functional_uniqueness(g: NormalFunctional, f: NormalFunctional) -> UniquenessCertificate:
     """Uniqueness of the decomposition of g relative to f, on representatives."""
     if f.kind != g.kind:
         raise ValidationError(f"cannot compare a {g.kind} functional against a {f.kind} one")
     if g.kind == "matrix":
-        return uniqueness_certificate(g.rep, f.rep, cfg)
+        return uniqueness_certificate(g.rep, f.rep)
     unique, certificate = diag_uniqueness(g.rep, f.rep)
     if unique:
         return UniquenessCertificate(unique=True, c=certificate.c)
@@ -162,12 +160,7 @@ def _describe_unbounded(certificate: RatioCertificate) -> str:
     return f"entrywise ratios against the reference are unbounded ({rendered})"
 
 
-def kvn_sup_estimate(
-    f: NormalFunctional,
-    x,
-    rank_schedule: Sequence[int],
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> List[float]:
+def kvn_sup_estimate(f: NormalFunctional, x, rank_schedule: Sequence[int]) -> List[float]:
     """Ascent of the smallest-positive-extension supremum along spectral ranks.
 
     For each rank k the maximizing family member is A_k = X P_k / sqrt(f(P_k
@@ -177,7 +170,7 @@ def kvn_sup_estimate(
     contribute zero (their numerator vanishes with them).
     """
     arg = _argument(x)
-    rep = f.rep_matrix(arg.dim, cfg)
+    rep = f.rep_matrix(arg.dim)
     if trace(rep) <= 0.0:
         raise ValidationError("the zero functional admits no normalized maximizing family")
     gram = arg.array.conj().T @ arg.array
@@ -194,7 +187,7 @@ def kvn_sup_estimate(
     return out
 
 
-def normality_gap(f: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+def normality_gap(f: NormalFunctional) -> float:
     """f(I) minus the full-rank supremum estimate at X = I.
 
     Nonpositive up to roundoff for every representable functional: every
@@ -204,8 +197,8 @@ def normality_gap(f: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
         raise ValidationError("normality gap is defined for matrix-represented functionals")
     dim = f.rep.dim
     identity = HermitianMatrix(np.eye(dim))
-    estimate = kvn_sup_estimate(f, identity, [dim], cfg)[-1]
-    return evaluate(f, identity, cfg) - estimate
+    estimate = kvn_sup_estimate(f, identity, [dim])[-1]
+    return evaluate(f, identity) - estimate
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -213,7 +206,7 @@ def normality_gap(f: NormalFunctional, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
 # {"kind": "matrix" | "sequence", "rep": <matrix or sequence JSON>, "label": ...}
 
 
-def functional_from_json(obj, cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormalFunctional:
+def functional_from_json(obj) -> NormalFunctional:
     if not isinstance(obj, dict):
         raise ValidationError("functional JSON must be an object")
     kind = obj.get("kind")
@@ -225,7 +218,7 @@ def functional_from_json(obj, cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormalFu
     if label is not None and not isinstance(label, str):
         raise ValidationError("'label' must be a string when present")
     if kind == "matrix":
-        return NormalFunctional(psd_from_json(obj["rep"], cfg), label=label)
+        return NormalFunctional(psd_from_json(obj["rep"]), label=label)
     return NormalFunctional(sequence_from_json(obj["rep"]), label=label)
 
 

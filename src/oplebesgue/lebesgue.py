@@ -41,10 +41,9 @@ import numpy as np
 from .errors import ConsistencyError, DimensionMismatchError, ValidationError
 from .parallel_sum import _ScaledParallelSums, is_singular_pair
 from .psd_core import (
-    DEFAULT_CONFIG,
+    CONV_TOL,
     HermitianMatrix,
     PsdMatrix,
-    ToleranceConfig,
     _computed_psd,
     _with_spectrum,
     loewner_leq,
@@ -61,7 +60,7 @@ ADDITIVITY_RTOL = 1e-9
 
 # Relative singular-value cutoff for the null space of (I - P_T) sqrt(S):
 # must sit above the backward-error noise floor of the factor (about
-# n * eps * sqrt(lambda_max)) and below sqrt(rank_cutoff) * sqrt(lambda_max),
+# n * eps * sqrt(lambda_max)) and below sqrt(RANK_CUTOFF) * sqrt(lambda_max),
 # the square root of the eigenvalue resolution, so that mass at the engine's
 # rank floor is split the way the exact kernel dictates.
 _KERNEL_RTOL = 1e-8
@@ -80,11 +79,10 @@ class IterationStep:
     gap: float
     c_bound: float
     family: _ScaledParallelSums = field(repr=False, compare=False)
-    cfg: ToleranceConfig = field(repr=False, compare=False)
 
     @property
     def approximant(self) -> PsdMatrix:
-        return self.family.member(self.scale, self.cfg)
+        return self.family.member(self.scale)
 
 
 @dataclass(frozen=True)
@@ -116,31 +114,29 @@ class LebesgueDecomposition:
     uniqueness: UniquenessCertificate
 
 
-def _domination_constant(candidate: np.ndarray, t: PsdMatrix, cfg: ToleranceConfig) -> float:
+def _domination_constant(candidate: np.ndarray, t: PsdMatrix) -> float:
     """Smallest c with candidate <= c T assuming range containment; inf if the
     Loewner check rejects the computed constant."""
-    k = t.rank(cfg)
+    k = t.rank()
     if k == 0:
         return 0.0 if not np.any(candidate) else math.inf
     inv_root = t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(t.eigenvalues[:k]))
     compressed = inv_root.conj().T @ candidate @ inv_root
     c = max(float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[-1]), 0.0)
-    return _verified_bound(candidate, c, t, cfg)
+    return _verified_bound(candidate, c, t)
 
 
-def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix, cfg: ToleranceConfig) -> float:
+def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix) -> float:
     """c if the Loewner check accepts candidate <= c T, inf otherwise; c T reuses T's spectrum."""
     scaled = _with_spectrum(c * t.array, c * t.eigenvalues, t.spectrum.eigenvectors)
-    return c if loewner_leq(candidate, scaled, cfg) else math.inf
+    return c if loewner_leq(candidate, scaled) else math.inf
 
 
-def ac_part_iterative(
-    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> Tuple[PsdMatrix, IterationTrace]:
+def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationTrace]:
     """Limit of the monotone approximants (n T) : S, n = 2^k / ratio, with the
     full record; the engine's filter argument n * ratio is 2^k exactly.
 
-    Stops at the first approximant within conv_tol * trace_norm(S) of the
+    Stops at the first approximant within CONV_TOL * trace_norm(S) of the
     limit in trace norm, a distance the weights give in closed form, so a
     family that has not started to rise cannot stop early.  The pair
     bounds how long that takes: at filter argument m the distance is
@@ -153,8 +149,8 @@ def ac_part_iterative(
     the last recorded one in the Loewner order, PSD by construction, and with
     the last domination constant checked against T.
     """
-    family = _ScaledParallelSums(s, t, cfg)
-    threshold = cfg.conv_tol * trace_norm(s)
+    family = _ScaledParallelSums(s, t)
+    threshold = CONV_TOL * trace_norm(s)
     reach = family.reach()
     bound = max(0, math.ceil(math.log2(reach / threshold))) if reach else 0
     steps: List[IterationStep] = []
@@ -167,20 +163,19 @@ def ac_part_iterative(
             gap=family.gap(scale, 2.0 * scale),
             c_bound=family.domination_at(scale),
             family=family,
-            cfg=cfg,
         )
         remaining = family.gap(2.0 * scale, math.inf)
         if remaining > threshold:
             steps.append(step)
             continue
         current = family.at_scale(scale)
-        limit = family.member(2.0 * scale, cfg)
-        if not loewner_leq(current, limit, cfg):
+        limit = family.member(2.0 * scale)
+        if not loewner_leq(current, limit):
             raise ConsistencyError(
                 f"approximant sequence is not monotone at step k={k}",
                 details={"step": k, "gap": step.gap},
             )
-        steps.append(replace(step, c_bound=_verified_bound(current, step.c_bound, t, cfg)))
+        steps.append(replace(step, c_bound=_verified_bound(current, step.c_bound, t)))
         return limit, IterationTrace(tuple(steps))
     raise ConsistencyError(
         f"monotone approximation passed its derived bound of K={bound} scale doublings "
@@ -189,28 +184,26 @@ def ac_part_iterative(
     )
 
 
-def _closed_factors(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _closed_factors(s: PsdMatrix, t: PsdMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """Factors R K, R K-perp of the regular and singular parts: R = sqrt(S) V is
     the spectral factor of S on its range, and (K, K-perp) split the right
     singular vectors of (I - P_T) R at _KERNEL_RTOL * sqrt(lambda_max(S))."""
     if s.dim != t.dim:
         raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    k = s.rank(cfg)
+    k = s.rank()
     root = s.spectrum.eigenvectors[:, :k] * np.sqrt(s.eigenvalues[:k])
-    range_t = t.spectrum.eigenvectors[:, :t.rank(cfg)]
+    range_t = t.spectrum.eigenvectors[:, :t.rank()]
     _, sv, vh = np.linalg.svd(root - range_t @ (range_t.conj().T @ root), full_matrices=False)
     null_rows = sv <= _KERNEL_RTOL * math.sqrt(s.lam_max)
     return root @ vh[null_rows, :].conj().T, root @ vh[~null_rows, :].conj().T
 
 
-def ac_part_closed(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+def ac_part_closed(s: PsdMatrix, t: PsdMatrix) -> PsdMatrix:
     """Kernel-projection form sqrt(S) P_M sqrt(S), M = ker((I - P_T) sqrt(S)), from its factor."""
-    return _computed_psd(_closed_factors(s, t, cfg)[0], s.lam_max, cfg)
+    return _computed_psd(_closed_factors(s, t)[0], s.lam_max)
 
 
-def decompose(
-    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> LebesgueDecomposition:
+def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
     """Certified Lebesgue decomposition of S relative to T.
 
     The iterative and closed computations of the absolutely continuous part
@@ -222,9 +215,9 @@ def decompose(
     verified before returning.  The uniqueness certificate carries the
     domination constant of the regular part.
     """
-    iterative, record = ac_part_iterative(s, t, cfg)
-    ac_factor, sing_factor = _closed_factors(s, t, cfg)
-    ac = _computed_psd(ac_factor, s.lam_max, cfg)
+    iterative, record = ac_part_iterative(s, t)
+    ac_factor, sing_factor = _closed_factors(s, t)
+    ac = _computed_psd(ac_factor, s.lam_max)
     scale = trace_norm(s) or 1.0  # an exactly zero S splits into exact zeros
     drift = trace_norm(HermitianMatrix(iterative.array - ac.array)) / scale
     if drift > ORACLE_AGREEMENT_RTOL:
@@ -233,15 +226,15 @@ def decompose(
             f"(relative trace-norm gap {drift:.3e})",
             details={"iterative": iterative, "closed": ac},
         )
-    sing = _computed_psd(sing_factor, s.lam_max, cfg)
+    sing = _computed_psd(sing_factor, s.lam_max)
     residual = trace_norm(HermitianMatrix(ac.array + sing.array - s.array)) / scale
     if residual > ADDITIVITY_RTOL:
         raise ConsistencyError(f"regular and singular parts do not add back to the input ({residual:.3e})")
-    if not is_singular_pair(sing, t, cfg):
+    if not is_singular_pair(sing, t):
         raise ConsistencyError("computed singular part is not singular to the reference operator")
-    if not range_contained(ac, t, cfg):
+    if not range_contained(ac, t):
         raise ConsistencyError("regular part leaks outside the range of the reference operator")
-    c = _domination_constant(ac.array, t, cfg)
+    c = _domination_constant(ac.array, t)
     unique = math.isfinite(c)
     witness = None if unique else "regular part admits no finite domination constant"
     uniqueness = UniquenessCertificate(unique=unique, c=c, witness=witness)
@@ -250,9 +243,7 @@ def decompose(
     )
 
 
-def is_dominated(
-    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> Optional[float]:
+def is_dominated(s: PsdMatrix, t: PsdMatrix) -> Optional[float]:
     """Smallest c with S <= c T, or None when no such constant exists.
 
     The candidate is the largest eigenvalue of sqrt(T^+) S sqrt(T^+) on the
@@ -261,22 +252,20 @@ def is_dominated(
     """
     if s.dim != t.dim:
         raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    c = _domination_constant(s.array, t, cfg)
+    c = _domination_constant(s.array, t)
     return None if math.isinf(c) else c
 
 
-def is_absolutely_continuous(
-    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> bool:
+def is_absolutely_continuous(s: PsdMatrix, t: PsdMatrix) -> bool:
     """Does S coincide with its own regular part relative to T?
 
     In finite dimensions absolute continuity collapses to range containment;
     the equivalence is asserted against the computed decomposition rather than
     assumed, and a mismatch raises ConsistencyError.
     """
-    sing = decompose(s, t, cfg).sing
-    vanishes = trace_norm(sing) <= cfg.conv_tol * trace_norm(s)
-    included = range_contained(s, t, cfg)
+    sing = decompose(s, t).sing
+    vanishes = trace_norm(sing) <= CONV_TOL * trace_norm(s)
+    included = range_contained(s, t)
     if vanishes != included:
         raise ConsistencyError(
             "absolute-continuity criteria disagree: vanishing singular part says "
@@ -285,31 +274,27 @@ def is_absolutely_continuous(
     return vanishes
 
 
-def uniqueness_certificate(
-    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> UniquenessCertificate:
+def uniqueness_certificate(s: PsdMatrix, t: PsdMatrix) -> UniquenessCertificate:
     """Certify uniqueness: the split is unique iff the regular part is T-dominated.
 
     For matrices this always succeeds (finite rank forces domination); the
     check is still performed, never assumed.  This is the certificate that
     ``decompose`` attaches to its result.
     """
-    return decompose(s, t, cfg).uniqueness
+    return decompose(s, t).uniqueness
 
 
-def extremality_check(
-    r: PsdMatrix, s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> bool:
+def extremality_check(r: PsdMatrix, s: PsdMatrix, t: PsdMatrix) -> bool:
     """Verify the extremal property of the regular part: any T-absolutely
     continuous minorant of S must sit below it.
 
     Preconditions (R <= S, R absolutely continuous w.r.t. T) are enforced with
     distinct errors; a False return is a bug-revealing event, not an outcome.
     """
-    if not loewner_leq(r, s, cfg):
+    if not loewner_leq(r, s):
         raise ValidationError("precondition failed: R <= S does not hold")
-    if not is_absolutely_continuous(r, t, cfg):
+    if not is_absolutely_continuous(r, t):
         raise ValidationError(
             "precondition failed: R is not absolutely continuous with respect to T"
         )
-    return loewner_leq(r, decompose(s, t, cfg).ac, cfg)
+    return loewner_leq(r, decompose(s, t).ac)

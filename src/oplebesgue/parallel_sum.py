@@ -18,14 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatchError
-from .psd_core import (
-    DEFAULT_CONFIG,
-    PsdMatrix,
-    ToleranceConfig,
-    _computed_psd,
-    rank_at_scale,
-    trace,
-)
+from .psd_core import CONV_TOL, PSD_TOL, RANK_CUTOFF, PsdMatrix, _computed_psd, rank_at_scale, trace
 
 # Scalar filter components with weight below this are exact zeros up to
 # roundoff (their factor columns vanish identically in exact arithmetic).
@@ -57,11 +50,11 @@ class _ScaledParallelSums:
     certified once at construction and decides which components carry weight.
     """
 
-    def __init__(self, s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig):
+    def __init__(self, s: PsdMatrix, t: PsdMatrix):
         if s.dim != t.dim:
             raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
-        left, unit_t = self._factor(t, cfg)
-        right, unit_s = self._factor(s, cfg)
+        left, unit_t = self._factor(t)
+        right, unit_s = self._factor(s)
         self.ratio = (unit_t / unit_s) ** 2
         self._lam_s, self._lam_t = s.lam_max, t.lam_max
         p = left.shape[1]
@@ -69,7 +62,7 @@ class _ScaledParallelSums:
         gram = stacked.conj().T @ stacked
         gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
         # eigh sorts ascending: the kept components are the trailing ones
-        kept = rank_at_scale(gw[::-1], gw.max(initial=0.0), cfg)
+        kept = rank_at_scale(gw[::-1], gw.max(initial=0.0))
         basis = gV[:, gw.size - kept:]
         top, bottom = basis[:p, :], basis[p:, :]
         overlap = top.conj().T @ top
@@ -79,7 +72,7 @@ class _ScaledParallelSums:
         self._weights = a[live]
         self._front = left @ (top @ U[:, live])
         self._back = right @ (bottom @ U[:, live])
-        carried = self._certify(math.sqrt(s.lam_max) / unit_s * math.sqrt(t.lam_max) / unit_t, cfg)
+        carried = self._certify(math.sqrt(s.lam_max) / unit_s * math.sqrt(t.lam_max) / unit_t)
         a = self._weights = self._weights[carried]
         image = self._front[:, carried] + self._back[:, carried]
         norm = np.linalg.norm(image, axis=0)
@@ -88,23 +81,23 @@ class _ScaledParallelSums:
         del self._front, self._back  # the certificate's inputs, not kept
 
     @staticmethod
-    def _factor(matrix: PsdMatrix, cfg: ToleranceConfig) -> Tuple[np.ndarray, float]:
+    def _factor(matrix: PsdMatrix) -> Tuple[np.ndarray, float]:
         """The spectral factor divided by u, the power of two with sqrt(lambda_max) / u in [1/2, 1)."""
-        k = matrix.rank(cfg)
+        k = matrix.rank()
         unit = math.ldexp(1.0, math.frexp(math.sqrt(matrix.lam_max))[1])
         return matrix.spectrum.eigenvectors[:, :k] * (np.sqrt(matrix.eigenvalues[:k]) / unit), unit
 
-    def _certify(self, joint: float, cfg: ToleranceConfig) -> np.ndarray:
+    def _certify(self, joint: float) -> np.ndarray:
         """Check that every component is a rank-one PSD term with a filter
         nondecreasing in n; return which components carry weight.
 
         By Cauchy-Schwarz the trace e_i = Re(H_i* F_i) is at most |F_i| |H_i|,
         with equality exactly when H_i is a positive multiple of F_i; F_i H_i*
         has Hermitian eigenvalues (e_i +- |F_i| |H_i|) / 2, so it counts as PSD when
-        its negative eigenvalue stays within psd_tol of its trace.  A component
+        its negative eigenvalue stays within PSD_TOL of its trace.  A component
         that fails the test is admitted only if its term stays below the
         resolution of the factorization in every member of the family:
-        |F_i| |H_i| / a_i (phi_i <= 1 / a_i) at most sqrt(rank_cutoff) times
+        |F_i| |H_i| / a_i (phi_i <= 1 / a_i) at most sqrt(RANK_CUTOFF) times
         the joint magnitude sqrt(lambda_max(S') lambda_max(T')), which bounds
         |F_i| |H_i|.  Such components come from the a_i = 1 columns, whose H_i
         vanishes in exact arithmetic, and carry no weight, as do components
@@ -118,8 +111,8 @@ class _ScaledParallelSums:
             )
         product = np.linalg.norm(self._front, axis=0) * np.linalg.norm(self._back, axis=0)
         mass = np.real(np.sum(self._back.conj() * self._front, axis=0))
-        psd_term = mass >= (1.0 - cfg.psd_tol) * product
-        broken = ~psd_term & (product > math.sqrt(cfg.rank_cutoff) * joint * a)
+        psd_term = mass >= (1.0 - PSD_TOL) * product
+        broken = ~psd_term & (product > math.sqrt(RANK_CUTOFF) * joint * a)
         if np.any(broken):
             worst = int(np.argmax(np.where(broken, product, 0.0)))
             raise ConsistencyError(
@@ -144,10 +137,10 @@ class _ScaledParallelSums:
         product = factor @ factor.conj().T
         return (product + product.conj().T) / 2
 
-    def member(self, scale: float, cfg: ToleranceConfig) -> PsdMatrix:
+    def member(self, scale: float) -> PsdMatrix:
         """(scale * T) : S, rank-cut at the largest eigenvalue it can have,
         min(lambda_max(S), scale * lambda_max(T))."""
-        return _computed_psd(self.factor_at(scale), min(self._lam_s, scale * self._lam_t), cfg)
+        return _computed_psd(self.factor_at(scale), min(self._lam_s, scale * self._lam_t))
 
     def trace_at(self, scale: float) -> float:
         """trace((scale * T) : S)."""
@@ -181,25 +174,23 @@ class _ScaledParallelSums:
         return float(np.max(self._filter(scale) * (1.0 - self._weights), initial=0.0)) / self.ratio
 
 
-def parallel_sum(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+def parallel_sum(s: PsdMatrix, t: PsdMatrix) -> PsdMatrix:
     """Parallel sum S:T = S (S+T)^+ T, the unit-scale member of the factored
     family, so no pseudoinverse of S + T is ever formed."""
-    return _ScaledParallelSums(s, t, cfg).member(1.0, cfg)
+    return _ScaledParallelSums(s, t).member(1.0)
 
 
-def _singularity(
-    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig
-) -> Tuple[bool, _ScaledParallelSums]:
+def _singularity(s: PsdMatrix, t: PsdMatrix) -> Tuple[bool, _ScaledParallelSums]:
     """The singularity verdict of ``is_singular_pair`` with the parallel-sum
     family it was read from."""
-    family = _ScaledParallelSums(s, t, cfg)
+    family = _ScaledParallelSums(s, t)
     mean_trace = family.trace_at(1.0)
-    trace_says = mean_trace <= cfg.conv_tol * min(trace(s), trace(t))
+    trace_says = mean_trace <= CONV_TOL * min(trace(s), trace(t))
 
-    k_s, k_t = s.rank(cfg), t.rank(cfg)
+    k_s, k_t = s.rank(), t.rank()
     bases = np.concatenate([s.spectrum.eigenvectors[:, :k_s], t.spectrum.eigenvectors[:, :k_t]], axis=1)
     joint = np.linalg.eigvalsh(bases.conj().T @ bases)[::-1]
-    rank_join = rank_at_scale(joint, joint[0] if joint.size else 0.0, cfg)
+    rank_join = rank_at_scale(joint, joint[0] if joint.size else 0.0)
     intersection_dim = k_s + k_t - rank_join
     range_says = intersection_dim == 0
 
@@ -213,10 +204,10 @@ def _singularity(
     return trace_says, family
 
 
-def is_singular_pair(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+def is_singular_pair(s: PsdMatrix, t: PsdMatrix) -> bool:
     """Decide whether the only common positive minorant of s and t is zero.
 
-    Primary criterion: trace(s:t) below conv_tol times the smaller input trace
+    Primary criterion: trace(s:t) below CONV_TOL times the smaller input trace
     (s:t lies below both), read off the weights of the factored parallel sum
     without forming it.  Cross-checked against dim(range s intersect range t)
     = 0 computed from the range projections, each rank taken at its operand's
@@ -225,17 +216,15 @@ def is_singular_pair(s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_
     of P_s + P_t is read off the Gram matrix of the two range bases, which
     has the same nonzero eigenvalues.
     """
-    return _singularity(s, t, cfg)[0]
+    return _singularity(s, t)[0]
 
 
-def nonzero_common_minorant(
-    s: PsdMatrix, t: PsdMatrix, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> Optional[PsdMatrix]:
+def nonzero_common_minorant(s: PsdMatrix, t: PsdMatrix) -> Optional[PsdMatrix]:
     """A witness R != 0 with R <= s and R <= t, or None when the pair is singular.
 
     The parallel sum itself is the witness: it is always a common minorant and
     is nonzero exactly on non-singular pairs.  It comes from the family the
     singularity test has already factored, and is built only when returned.
     """
-    singular, family = _singularity(s, t, cfg)
-    return None if singular else family.member(1.0, cfg)
+    singular, family = _singularity(s, t)
+    return None if singular else family.member(1.0)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,34 +36,44 @@ HERMITIAN_ATOL = 1e-12
 # eigenvector orthonormality, both Frobenius).
 SPECTRAL_TOL = 1e-10
 
+# Relative band below zero inside which an eigenvalue is roundoff, clipped at
+# construction; also the slack of every Loewner comparison and PSD-term check.
+PSD_TOL = 1e-10
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical policy knobs, exposed so callers can tighten every check.
+# Relative eigenvalue threshold for numerical rank, at the scale a caller picks.
+RANK_CUTOFF = 1e-10
 
-    psd_tol      relative band below zero inside which eigenvalues are
-                 treated as roundoff and clipped at construction
-    rank_cutoff  relative eigenvalue threshold for numerical rank
-    conv_tol     relative trace-norm stopping threshold for iterations
-    """
-
-    psd_tol: float = 1e-10
-    rank_cutoff: float = 1e-10
-    conv_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("psd_tol", "rank_cutoff", "conv_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be a finite positive scalar, got {value!r}")
+# Relative trace-norm threshold for convergence and for a vanishing trace.
+CONV_TOL = 1e-9
 
 
-DEFAULT_CONFIG = ToleranceConfig()
+def _unit(array: np.ndarray) -> float:
+    """The power of two at or just below the largest |entry| of ``array``, but
+    never below the smallest normal float, whose reciprocal is finite.  Dividing
+    by it is exact and leaves the largest entry below 2, so a Frobenius norm of
+    the quotient neither overflows nor underflows."""
+    exponent = math.frexp(float(np.abs(array).max(initial=0.0)))[1]
+    return math.ldexp(1.0, max(exponent, sys.float_info.min_exp) - 1)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _numeric(entries) -> np.ndarray:
+    """``entries`` as a complex array of numbers: a bool or a string is not one,
+    and an int no float64 can hold is out of range.  An ndarray of a numeric
+    dtype is taken as it is; anything else is checked entry by entry."""
+    if not (isinstance(entries, np.ndarray) and entries.dtype.kind in "iufc"):
+        cells = np.asarray(entries, dtype=object)
+        if not all(isinstance(v, numbers.Number) and not isinstance(v, bool) for v in cells.flat):
+            raise ValidationError("matrix entries must be numbers")
+        try:
+            entries = cells.astype(complex)
+        except OverflowError:
+            raise ValidationError("matrix entries must fit a float64") from None
+    return np.asarray(entries, dtype=complex)
 
 
 class HermitianMatrix:
@@ -75,7 +87,7 @@ class HermitianMatrix:
     __slots__ = ("_array",)
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=complex)
+        arr = _numeric(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
         if arr.size and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
@@ -124,7 +136,8 @@ def eigh(matrix) -> SpectralDecomp:
     w, V = np.linalg.eigh(arr)
     w, V = w[::-1].copy(), V[:, ::-1].copy()
     decomp = SpectralDecomp(_frozen(w), _frozen(V))
-    if np.linalg.norm(decomp.reconstruct() - arr) > SPECTRAL_TOL * np.linalg.norm(arr):
+    unit = _unit(arr)
+    if np.linalg.norm((decomp.reconstruct() - arr) / unit) > SPECTRAL_TOL * np.linalg.norm(arr / unit):
         raise ConsistencyError("spectral factorization failed to reconstruct its input")
     gram_err = float(np.linalg.norm(V.conj().T @ V - np.eye(herm.dim)))
     if gram_err > SPECTRAL_TOL:
@@ -135,7 +148,7 @@ def eigh(matrix) -> SpectralDecomp:
 class PsdMatrix(HermitianMatrix):
     """Hermitian matrix with all eigenvalues nonnegative up to tolerance.
 
-    Eigenvalues in the roundoff band [-psd_tol * lambda_max, 0) are
+    Eigenvalues in the roundoff band [-PSD_TOL * lambda_max, 0) are
     clipped to zero at construction; anything more negative is a hard error.
     The clipped spectral form is cached and reused by every downstream
     operation (square roots, pseudoinverses, projections).
@@ -143,12 +156,12 @@ class PsdMatrix(HermitianMatrix):
 
     __slots__ = ("_spectrum",)
 
-    def __init__(self, entries, cfg: ToleranceConfig = DEFAULT_CONFIG):
+    def __init__(self, entries):
         super().__init__(entries)
         decomp = eigh(self)
         w = decomp.eigenvalues
         lam_max = float(w[0]) if w.size else 0.0
-        band = cfg.psd_tol * lam_max
+        band = PSD_TOL * lam_max
         lam_min = float(w[-1]) if w.size else 0.0
         if lam_min < -band:
             raise ValidationError(
@@ -171,15 +184,15 @@ class PsdMatrix(HermitianMatrix):
         w = self._spectrum.eigenvalues
         return float(w[0]) if w.size else 0.0
 
-    def rank(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
+    def rank(self) -> int:
         """Numerical rank relative to the operator's own largest eigenvalue."""
-        return rank_at_scale(self.eigenvalues, self.lam_max, cfg)
+        return rank_at_scale(self.eigenvalues, self.lam_max)
 
 
-def rank_at_scale(eigenvalues: np.ndarray, scale: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> int:
-    """How many of the descending ``eigenvalues`` lie above rank_cutoff * scale.
+def rank_at_scale(eigenvalues: np.ndarray, scale: float) -> int:
+    """How many of the descending ``eigenvalues`` lie above RANK_CUTOFF * scale.
     Every rank decision in the package is made here, at a scale the caller picks."""
-    return int(np.count_nonzero(eigenvalues > cfg.rank_cutoff * scale))
+    return int(np.count_nonzero(eigenvalues > RANK_CUTOFF * scale))
 
 
 def _as_array(matrix) -> np.ndarray:
@@ -188,10 +201,10 @@ def _as_array(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=complex)
 
 
-def _as_psd(matrix, cfg: ToleranceConfig) -> PsdMatrix:
+def _as_psd(matrix) -> PsdMatrix:
     if isinstance(matrix, PsdMatrix):
         return matrix
-    return PsdMatrix(matrix, cfg)
+    return PsdMatrix(matrix)
 
 
 def _require_same_dim(a: np.ndarray, b: np.ndarray):
@@ -209,44 +222,44 @@ def _with_spectrum(array, w, V) -> PsdMatrix:
     return psd
 
 
-def _computed_psd(factor, scale: float, cfg: ToleranceConfig) -> PsdMatrix:
+def _computed_psd(factor, scale: float) -> PsdMatrix:
     """X X* for a factor X the package computed, PSD by construction.  The
-    spectrum comes from a thin SVD of X, cut at rank_cutoff * ``scale``, the
+    spectrum comes from a thin SVD of X, cut at RANK_CUTOFF * ``scale``, the
     largest eigenvalue of the operand X X* came from, so columns of X that are
     roundoff of that operand carry no rank."""
     left, sv, _ = np.linalg.svd(factor, full_matrices=False)
-    k = rank_at_scale(sv**2, scale, cfg)
+    k = rank_at_scale(sv**2, scale)
     return _with_spectrum(factor @ factor.conj().T, sv[:k] ** 2, left[:, :k])
 
 
-def sqrt_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+def sqrt_psd(matrix) -> PsdMatrix:
     """Positive square root via the cached spectral form."""
-    psd = _as_psd(matrix, cfg)
+    psd = _as_psd(matrix)
     V, root_w = psd.spectrum.eigenvectors, np.sqrt(psd.eigenvalues)
     return _with_spectrum((V * root_w) @ V.conj().T, root_w, V)
 
 
-def pinv_psd(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+def pinv_psd(matrix) -> PsdMatrix:
     """Moore-Penrose pseudoinverse with eigenvalues below the rank cutoff zeroed."""
-    psd = _as_psd(matrix, cfg)
-    k, w = psd.rank(cfg), psd.eigenvalues
+    psd = _as_psd(matrix)
+    k, w = psd.rank(), psd.eigenvalues
     V, inverse_w = psd.spectrum.eigenvectors, np.zeros(w.size)
     inverse_w[:k] = 1.0 / w[:k]
     return _with_spectrum((V[:, :k] / w[:k]) @ V[:, :k].conj().T, inverse_w, V)
 
 
-def range_projection(matrix, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+def range_projection(matrix) -> PsdMatrix:
     """Orthogonal projection onto the numerical range (eigenvalues above cutoff)."""
-    psd = _as_psd(matrix, cfg)
-    k = psd.rank(cfg)
+    psd = _as_psd(matrix)
+    k = psd.rank()
     V, unit_w = psd.spectrum.eigenvectors, (np.arange(psd.eigenvalues.size) < k).astype(float)
     return _with_spectrum(V[:, :k] @ V[:, :k].conj().T, unit_w, V)
 
 
-def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+def loewner_leq(a, b) -> bool:
     """Decide a <= b in the Loewner order.
 
-    True iff the smallest eigenvalue of b - a stays above -psd_tol * |b|, with
+    True iff the smallest eigenvalue of b - a stays above -PSD_TOL * |b|, with
     |b| the largest |eigenvalue| of b (lambda_max(b) for PSD b): a band
     relative to b with no floor, so the comparison means the same at every
     scale.  A PsdMatrix b supplies its cached spectrum.
@@ -257,7 +270,7 @@ def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
         return True
     diff_min = float(np.linalg.eigvalsh(arr_b - arr_a)[0])
     spectrum_b = b.eigenvalues if isinstance(b, PsdMatrix) else np.linalg.eigvalsh(arr_b)
-    return diff_min >= -cfg.psd_tol * float(np.abs(spectrum_b).max(initial=0.0))
+    return diff_min >= -PSD_TOL * float(np.abs(spectrum_b).max(initial=0.0))
 
 
 def trace(matrix) -> float:
@@ -287,33 +300,36 @@ def op_norm(matrix) -> float:
 
 def hs_inner(a, b):
     """Hilbert-Schmidt pairing trace(b* a); conjugate-symmetric in (a, b), and
-    real when its imaginary part is roundoff of the bound |a|_F |b|_F."""
+    real when its imaginary part is roundoff of the bound |a|_F |b|_F, which is
+    compared in units of the two operands' powers of two so no norm overflows."""
     arr_a, arr_b = _as_array(a), _as_array(b)
     _require_same_dim(arr_a, arr_b)
     value = complex(np.vdot(arr_b, arr_a))
-    if abs(value.imag) <= 1e-12 * np.linalg.norm(arr_a) * np.linalg.norm(arr_b):
+    unit_a, unit_b = _unit(arr_a), _unit(arr_b)
+    bound = 1e-12 * np.linalg.norm(arr_a / unit_a) * np.linalg.norm(arr_b / unit_b)
+    if abs(value.imag) / unit_a / unit_b <= bound:
         return value.real
     return value
 
 
-def range_contained(a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
-    """Is range(a) contained in range(b) at the configured rank tolerance?
+def range_contained(a, b) -> bool:
+    """Is range(a) contained in range(b) at RANK_CUTOFF?
 
     Each rank is taken at the operand's own scale.  Containment is
     measured by the largest principal-angle sine, op_norm((I - P_b) V_a) with
     V_a an orthonormal basis of range(a); genuine inclusions sit at roundoff
-    level while violations are O(1), so the threshold sqrt(rank_cutoff)
-    separates them with orders of margin and tightens with the rank policy.
+    level while violations are O(1), so the threshold sqrt(RANK_CUTOFF)
+    separates them with orders of margin.
     """
-    psd_a, psd_b = _as_psd(a, cfg), _as_psd(b, cfg)
+    psd_a, psd_b = _as_psd(a), _as_psd(b)
     _require_same_dim(psd_a.array, psd_b.array)
-    k_a = psd_a.rank(cfg)
+    k_a = psd_a.rank()
     if k_a == 0:
         return True
     basis_a = psd_a.spectrum.eigenvectors[:, :k_a]
-    basis_b = psd_b.spectrum.eigenvectors[:, :psd_b.rank(cfg)]
+    basis_b = psd_b.spectrum.eigenvectors[:, :psd_b.rank()]
     leak = basis_a - basis_b @ (basis_b.conj().T @ basis_a)
-    return op_norm(leak) <= math.sqrt(cfg.rank_cutoff)
+    return op_norm(leak) <= math.sqrt(RANK_CUTOFF)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -335,7 +351,10 @@ def _grid(obj, name: str, dim: int) -> np.ndarray:
             for value in row:
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ValidationError(f"'{name}' entries must be numbers")
-    return np.array(obj, dtype=float)
+    try:
+        return np.array(obj, dtype=float)
+    except OverflowError:  # an int no float64 can hold
+        raise ValidationError(f"'{name}' entries must fit a float64") from None
 
 
 def _array_from_json(obj) -> np.ndarray:
@@ -359,9 +378,9 @@ def hermitian_from_json(obj) -> HermitianMatrix:
     return HermitianMatrix(_array_from_json(obj))
 
 
-def psd_from_json(obj, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PsdMatrix:
+def psd_from_json(obj) -> PsdMatrix:
     """Parse the matrix wire format into a validated PsdMatrix, checked once."""
-    return PsdMatrix(_array_from_json(obj), cfg)
+    return PsdMatrix(_array_from_json(obj))
 
 
 def matrix_to_json(matrix) -> dict:

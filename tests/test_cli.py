@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oplebesgue import psd_from_json
+from oplebesgue import lebesgue, psd_from_json
 from oplebesgue.cli import main
 from conftest import graded_panel, structured_pair
 
@@ -109,10 +109,11 @@ class TestDecompose:
                                 DATA / "t_diag10.json", tmp_path / "r.json"], capsys)
         assert code == 2 and err.startswith("error:")
 
-    def test_oracle_disagreement_exits_3(self, tmp_path, capsys):
+    def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
         # a stopping threshold of 1e-3 leaves the iterative route 1e-3 short of
         # the closed form, far outside the 1e-8 agreement the two must reach
-        code, _, err = run_cli(["--quiet", "--tol", "1e-3", "decompose",
+        monkeypatch.setattr(lebesgue, "CONV_TOL", 1e-3)
+        code, _, err = run_cli(["--quiet", "decompose",
                                 DATA / "t_eye3.json", DATA / "t_eye3.json",
                                 tmp_path / "r.json"], capsys)
         assert code == 3

@@ -75,6 +75,16 @@ class TestSequenceType:
             L1Sequence(prefix)
         assert L1Sequence(prefix[:1]).total() == prefix[0]
 
+    @pytest.mark.parametrize("prefix, tail", [
+        ((), GeometricTail(1e308, 0.99)),
+        ((1e308,), GeometricTail(1e308, 0.5)),
+    ])
+    def test_rejects_a_tail_whose_sum_overflows(self, prefix, tail):
+        # prefix sum + a r / (1 - r) must be finite, not only the prefix sum
+        with pytest.raises(ValidationError, match="float64 range"):
+            L1Sequence(prefix, tail)
+        assert L1Sequence((1e308,), GeometricTail(1e307, 0.5)).total() == pytest.approx(1.1e308)
+
     def test_rejects_non_summable_tail(self):
         with pytest.raises(ValidationError, match="summab"):
             GeometricTail(1.0, 1.0)

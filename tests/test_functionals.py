@@ -154,12 +154,21 @@ class TestLebesgue:
                 total, rel=1e-9, abs=1e-9
             )
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_split_is_additive_at_extreme_scales(self, scale):
+        # the residual's Frobenius norm is taken on G divided by its power of two
+        rng = make_rng(67)
+        s, t = random_psd(rng, 5), random_psd(rng, 5, rank=2)
+        regular, singular = functional_lebesgue(f_of(scale * s.array), f_of(t.array))
+        unit_regular, _ = functional_lebesgue(f_of(s.array), f_of(t.array))
+        np.testing.assert_allclose(regular.rep.array / scale, unit_regular.rep.array, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-8])
     def test_inflated_regular_part_fails_additivity_at_every_scale(self, monkeypatch, scale):
         decompose = functionals.decompose
 
-        def inflated(g, f, cfg):
-            split = decompose(g, f, cfg)
+        def inflated(g, f):
+            split = decompose(g, f)
             return dataclasses.replace(split, ac=PsdMatrix(split.ac.array * (1.0 + 1e-3)))
 
         rng = make_rng(65)

@@ -7,7 +7,6 @@ import pytest
 from oplebesgue import (
     ConsistencyError,
     PsdMatrix,
-    ToleranceConfig,
     ValidationError,
     ac_part_closed,
     ac_part_iterative,
@@ -26,6 +25,7 @@ from conftest import (GRADED_FLOORS, graded_panel, make_rng, random_psd, random_
                       structured_pair)
 
 lebesgue = importlib.import_module("oplebesgue.lebesgue")
+CONV_TOL = importlib.import_module("oplebesgue.psd_core").CONV_TOL
 _ScaledParallelSums = importlib.import_module("oplebesgue.parallel_sum")._ScaledParallelSums
 
 DIAG10 = PsdMatrix(np.diag([1.0, 0.0]))
@@ -80,13 +80,12 @@ class TestIterative:
         # conv_tol * trace_norm(S), and that k is at most the derived bound
         # K = ceil(log2(sum_i d_i / a_i^2 / threshold))
         rng = make_rng(33)
-        cfg = ToleranceConfig()
         for dim in (3, 5, 8):
             s = random_psd(rng, dim)
             t = random_psd(rng, dim, rank=dim - 1)
-            _, record = ac_part_iterative(s, t, cfg)
-            family = _ScaledParallelSums(s, t, cfg)
-            threshold = cfg.conv_tol * trace_norm(s)
+            _, record = ac_part_iterative(s, t)
+            family = _ScaledParallelSums(s, t)
+            threshold = CONV_TOL * trace_norm(s)
             distances = [family.gap(2.0 * step.scale, np.inf) for step in record.steps]
             assert all(d > threshold for d in distances[:-1]) and distances[-1] <= threshold
             assert [step.k for step in record.steps] == list(range(len(record.steps)))
@@ -110,8 +109,8 @@ class TestIterative:
         dec = decompose(EYE2, t)
         np.testing.assert_allclose(dec.ac.array, np.eye(2), rtol=0, atol=1e-12)
         assert dec.uniqueness.c == pytest.approx(1.0 / floor, rel=1e-12)
-        family = _ScaledParallelSums(EYE2, t, ToleranceConfig())
-        bound = math.ceil(math.log2(family.reach() / (ToleranceConfig().conv_tol * 2.0)))
+        family = _ScaledParallelSums(EYE2, t)
+        bound = math.ceil(math.log2(family.reach() / (CONV_TOL * 2.0)))
         assert len(dec.trace_of_iteration.steps) <= bound
 
     def test_zero_reference(self):
@@ -134,11 +133,11 @@ class TestIterative:
         assert all(b > a for a, b in zip(bounds, bounds[1:]))
 
 
-def dense_steps(s, t, steps, cfg=ToleranceConfig()):
+def dense_steps(s, t, steps):
     """Dense oracle for the weight-space iteration: each step's trace,
     trace-norm gap to the next approximant and domination constant, computed
     from the n x n approximants."""
-    family = _ScaledParallelSums(s, t, cfg)
+    family = _ScaledParallelSums(s, t)
     out = []
     for step in steps:
         current = family.at_scale(step.scale)
@@ -146,7 +145,7 @@ def dense_steps(s, t, steps, cfg=ToleranceConfig()):
         out.append((
             float(np.trace(current).real),
             trace_norm(following - current),
-            lebesgue._domination_constant(current, t, cfg),
+            lebesgue._domination_constant(current, t),
         ))
     return out
 
@@ -183,7 +182,7 @@ class TestFactoredIteration:
         rng = make_rng(30)
         s, t = random_psd(rng, 12, rank=9), random_psd(rng, 12, rank=9)
         _, record = ac_part_iterative(s, t)
-        family = _ScaledParallelSums(s, t, ToleranceConfig())
+        family = _ScaledParallelSums(s, t)
         assert len(record.steps) > 1
         for step in record.steps:
             assert np.array_equal(step.approximant.array, family.at_scale(step.scale))
@@ -204,9 +203,9 @@ class TestFactoredIteration:
                 family._weights[j] = 1.5 if breakage == "weight above one" else -0.5
 
         class Broken(_ScaledParallelSums):
-            def _certify(self, joint, cfg):
+            def _certify(self, joint):
                 mutate(self)
-                return super()._certify(joint, cfg)
+                return super()._certify(joint)
 
         rng = make_rng(31)
         s, t = random_psd(rng, 16, rank=12), random_psd(rng, 16, rank=12)
@@ -456,8 +455,8 @@ class TestFactoredSplit:
     def test_perturbed_factor_fails_additivity(self, monkeypatch):
         closed_factors = lebesgue._closed_factors
 
-        def perturbed(s, t, cfg):
-            ac_factor, sing_factor = closed_factors(s, t, cfg)
+        def perturbed(s, t):
+            ac_factor, sing_factor = closed_factors(s, t)
             return ac_factor, sing_factor * (1.0 + 1e-6)
 
         s, t = self.pairs((0.75, 0.75), count=1)[0]
@@ -469,8 +468,8 @@ class TestFactoredSplit:
     def test_perturbed_regular_factor_is_rejected_at_every_scale(self, monkeypatch, scale):
         closed_factors = lebesgue._closed_factors
 
-        def perturbed(s, t, cfg):
-            ac_factor, sing_factor = closed_factors(s, t, cfg)
+        def perturbed(s, t):
+            ac_factor, sing_factor = closed_factors(s, t)
             return ac_factor * (1.0 + 1e-3), sing_factor
 
         s, t = self.pairs((0.75, 0.75), count=1)[0]
@@ -619,7 +618,7 @@ class TestSpectralBudget:
             cases.append((candidate, c, t))
         expected = [c if loewner_leq(a, c * t.array) else np.inf for a, c, t in cases]
         calls = self.counting(monkeypatch)
-        assert [lebesgue._verified_bound(a, c, t, ToleranceConfig()) for a, c, t in cases] == expected
+        assert [lebesgue._verified_bound(a, c, t) for a, c, t in cases] == expected
         assert calls == ["eigvalsh"] * len(cases)
 
     def test_unbounded_constant_gives_a_non_unique_certificate(self, monkeypatch):

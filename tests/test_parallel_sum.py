@@ -12,7 +12,7 @@ from oplebesgue import (
     parallel_sum,
     trace,
 )
-from oplebesgue.psd_core import DEFAULT_CONFIG, trace_norm
+from oplebesgue.psd_core import trace_norm
 from conftest import GRADED_FLOORS, graded_panel, make_rng, random_psd, random_unitary
 
 # the package re-exports the function parallel_sum under the module's name
@@ -212,7 +212,7 @@ class TestSingularityReadsTheWeights:
 
     def test_weight_trace_matches_the_dense_oracle(self):
         for s, t in self.pairs():
-            weights = parallel_sum_module._ScaledParallelSums(s, t, DEFAULT_CONFIG).trace_at(1.0)
+            weights = parallel_sum_module._ScaledParallelSums(s, t).trace_at(1.0)
             dense = trace(dense_oracle(s.array, t.array))
             assert abs(weights - dense) <= 1e-12 * (trace(s) + trace(t))
 
@@ -238,9 +238,9 @@ class TestOperandsAtTheirOwnScale:
         rng = make_rng(29)
         for dim, rank in ((8, 6), (16, 12), (32, 24)):
             s, t = random_psd(rng, dim, rank=rank), random_psd(rng, dim, rank=rank)
-            unit = parallel_sum_module._ScaledParallelSums(s, t, DEFAULT_CONFIG)
+            unit = parallel_sum_module._ScaledParallelSums(s, t)
             far = parallel_sum_module._ScaledParallelSums(
-                PsdMatrix(4.0**power * s.array), PsdMatrix(4.0**-power * t.array), DEFAULT_CONFIG)
+                PsdMatrix(4.0**power * s.array), PsdMatrix(4.0**-power * t.array))
             assert unit._weights.size > 0
             assert far._weights.size == unit._weights.size
             np.testing.assert_allclose(far._weights, unit._weights, rtol=0, atol=1e-12)
@@ -254,7 +254,7 @@ class TestOperandsAtTheirOwnScale:
         rng = make_rng(30)
         s, t = random_psd(rng, 12, rank=9), random_psd(rng, 12, rank=9)
         far = parallel_sum_module._ScaledParallelSums(
-            PsdMatrix(4.0**40 * s.array), PsdMatrix(4.0**-40 * t.array), DEFAULT_CONFIG)
+            PsdMatrix(4.0**40 * s.array), PsdMatrix(4.0**-40 * t.array))
         for scale in (1.0, 2.0**30, 2.0**59):
             assert np.all(np.isfinite(far._filter(scale)))
             assert np.isfinite(far.gap(scale, 2.0 * scale)) and far.gap(scale, 2.0 * scale) >= 0.0
@@ -265,6 +265,6 @@ class TestOperandsAtTheirOwnScale:
         # T has full rank, so (n T) : S rises to S; components with weights
         # down to about floor keep their direction to roundoff
         for s, t in graded_panel(floor):
-            family = parallel_sum_module._ScaledParallelSums(s, t, DEFAULT_CONFIG)
+            family = parallel_sum_module._ScaledParallelSums(s, t)
             error = trace_norm(family.at_scale(2.0**200) - s.array)
             assert error <= 1e-12 * trace_norm(s), f"n={s.dim}: {error:.3e}"

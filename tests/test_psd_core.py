@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplebesgue import (
+    ConsistencyError,
     HermitianMatrix,
     PsdMatrix,
-    ToleranceConfig,
     ValidationError,
     eigh,
     hermitian_from_json,
@@ -24,7 +24,7 @@ from oplebesgue import (
     trace,
     trace_norm,
 )
-from oplebesgue.psd_core import DEFAULT_CONFIG, SPECTRAL_TOL, _computed_psd
+from oplebesgue.psd_core import SPECTRAL_TOL, _computed_psd
 from conftest import make_rng, random_hermitian, random_psd, random_unitary
 
 ONES2 = np.ones((2, 2))
@@ -71,14 +71,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             psd.array[0, 0] = 5.0
 
-    @pytest.mark.parametrize("bad", [
-        {"psd_tol": 0.0}, {"rank_cutoff": -1e-3}, {"conv_tol": float("inf")},
-        {"conv_tol": float("nan")}, {"psd_tol": "1e-10"},
-    ])
-    def test_tolerance_config_rejects(self, bad):
-        with pytest.raises(ValidationError):
-            ToleranceConfig(**bad)
-
 
 class TestEigh:
     def test_identity(self):
@@ -105,6 +97,18 @@ class TestEigh:
             err = np.linalg.norm(decomp.reconstruct() - a)
             assert err <= 1e-10 * max(1.0, np.linalg.norm(a))
             assert np.all(np.diff(decomp.eigenvalues) <= 1e-12)
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_planted_eigenvalue_error_is_rejected_at_every_scale(self, monkeypatch, scale):
+        # the reconstruction check is taken on the operand divided by its power
+        # of two, so its norms neither overflow nor underflow
+        rng = make_rng(6)
+        a = scale * random_psd(rng, 6, rank=4).array
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (original(m)[0] * (1.0 + 1e-6), original(m)[1]))
+        with pytest.raises(ConsistencyError, match="reconstruct"):
+            eigh(a)
 
 
 class TestSqrt:
@@ -225,6 +229,13 @@ class TestTraceFunctionals:
     def test_hs_inner_keeps_an_imaginary_part_at_every_scale(self, scale):
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert hs_inner(scale * e12, 1j * scale * e12) == -1j * scale**2
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_hs_inner_at_extreme_scales(self, scale):
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert hs_inner(scale * e12, 1j * e12) == -1j * scale
+        s = random_psd(make_rng(19), 4).array
+        assert hs_inner(scale * s, s) == pytest.approx(scale * hs_inner(s, s), rel=1e-14)
 
     def test_hs_inner_conjugate_symmetry(self):
         rng = make_rng(16)
@@ -412,7 +423,7 @@ class TestComputedFromFactor:
         for dim, cols, rank in ((1, 1, 1), (6, 4, 3), (16, 24, 16), (32, 11, 5)):
             factor = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) @ (
                 rng.standard_normal((rank, cols)))
-            built = _computed_psd(factor, 1.0, DEFAULT_CONFIG)
+            built = _computed_psd(factor, 1.0)
             product = factor @ factor.conj().T
             assert np.array_equal(built.array, (product + product.conj().T) / 2)
             assert not built.array.flags.writeable
@@ -431,30 +442,30 @@ class TestComputedFromFactor:
         rng = make_rng(33)
         genuine = rng.standard_normal((8, 2))
         ghosts = 1e-17 * rng.standard_normal((8, 3))
-        built = _computed_psd(np.concatenate([genuine, ghosts], axis=1), 1.0, DEFAULT_CONFIG)
+        built = _computed_psd(np.concatenate([genuine, ghosts], axis=1), 1.0)
         assert built.eigenvalues.size == 2 and built.rank() == 2
-        alone = _computed_psd(ghosts, 1.0, DEFAULT_CONFIG)
+        alone = _computed_psd(ghosts, 1.0)
         assert alone.eigenvalues.size == 0 and alone.lam_max == 0.0 and alone.rank() == 0
         assert trace_norm(alone) == 0.0
 
     def test_empty_factor_is_exactly_zero(self):
-        built = _computed_psd(np.zeros((3, 0), dtype=complex), 1.0, DEFAULT_CONFIG)
+        built = _computed_psd(np.zeros((3, 0), dtype=complex), 1.0)
         assert np.array_equal(built.array, np.zeros((3, 3)))
         assert built.eigenvalues.size == 0 and built.rank() == 0
 
     def test_scale_covariant_for_powers_of_two(self):
         rng = make_rng(34)
         factor = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
-        base = _computed_psd(factor, 7.0, DEFAULT_CONFIG)
+        base = _computed_psd(factor, 7.0)
         for j in (-60, -27, 27, 60):
-            scaled = _computed_psd(2.0**j * factor, 4.0**j * 7.0, DEFAULT_CONFIG)
+            scaled = _computed_psd(2.0**j * factor, 4.0**j * 7.0)
             assert np.array_equal(scaled.array, 4.0**j * base.array)
             assert scaled.rank() == base.rank() == 6
 
     def test_thin_spectra_feed_the_spectral_operators(self):
         rng = make_rng(35)
         factor = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-        built = _computed_psd(factor, 1.0, DEFAULT_CONFIG)
+        built = _computed_psd(factor, 1.0)
         np.testing.assert_allclose(pinv_psd(built).array, np.linalg.pinv(built.array), atol=1e-10)
         projection = range_projection(built)
         assert projection.eigenvalues.size == 4

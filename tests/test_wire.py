@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplebesgue import L1Sequence, hermitian_from_json, psd_from_json, sequence_from_json
+from oplebesgue import (GeometricTail, L1Sequence, PsdMatrix, hermitian_from_json, psd_from_json,
+                        sequence_from_json)
 from oplebesgue import cli
 from oplebesgue.cli import _pretty, main
 from oplebesgue.errors import ValidationError
@@ -148,6 +149,28 @@ class TestGridDecisions:
         grid = [[v if i == j else 0 for j in range(len(ints))] for i, v in enumerate(ints)]
         array = hermitian_from_json({"dim": len(ints), "real": grid}).array
         assert np.diag(array.real).tolist() == [float(v) for v in ints]
+
+
+class TestLibraryGates:
+    # the library constructors decide what the CLI's JSON reader decides: an int
+    # no float64 can hold, a bool and a string are invalid input, not an
+    # OverflowError or a number
+    @pytest.mark.parametrize("build", [
+        lambda: L1Sequence((10**400,)),
+        lambda: GeometricTail(10**400, 0.5),
+        lambda: psd_from_json({"dim": 1, "real": [[10**400]]}),
+        lambda: sequence_from_json({"prefix": [1.0, 10**400]}),
+        lambda: sequence_from_json({"prefix": [1.0], "tail": {"type": "geometric", "a": 10**400, "r": 0.5}}),
+        lambda: L1Sequence(("1.5",)),
+        lambda: L1Sequence((True,)),
+        lambda: GeometricTail(True, 0.5),
+        lambda: PsdMatrix([["1"]]),
+        lambda: PsdMatrix([[True]]),
+    ], ids=["seq-int", "tail-int", "matrix-json-int", "seq-json-int", "tail-json-int",
+            "seq-str", "seq-bool", "tail-bool", "matrix-str", "matrix-bool"])
+    def test_rejects_what_the_json_reader_rejects(self, build):
+        with pytest.raises(ValidationError):
+            build()
 
 
 class TestPrefixDecisions:
