@@ -169,9 +169,8 @@ class L1Sequence:
 
 
 def _as_float(value, what: str) -> float:
-    """A real number other than a bool, as a float; an int no float64 can hold
-    is out of range."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    """A number as a float; an int no float64 can hold is out of range."""
+    if not _is_number(value):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
@@ -417,7 +416,8 @@ def sequence_from_json(obj) -> L1Sequence:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def sequence_to_json(seq: L1Sequence) -> dict:
