@@ -109,7 +109,7 @@ def functional_lebesgue(
         split = decompose(g.rep, f.rep)
         unit = _unit(g.rep.array)
         residual = float(np.linalg.norm((g.rep.array - split.ac.array - split.sing.array) / unit))
-        if residual > ADDITIVITY_RTOL * trace(g.rep) / unit:
+        if not residual <= ADDITIVITY_RTOL * trace(g.rep) / unit:
             raise ConsistencyError(f"functional split is not additive (Frobenius residual "
                                    f"{residual * unit:.3e} against trace(G) {trace(g.rep):.3e})")
     else:
@@ -164,27 +164,20 @@ def kvn_sup_estimate(f: NormalFunctional, x, rank_schedule: Sequence[int]) -> Li
     """Ascent of the smallest-positive-extension supremum along spectral ranks.
 
     For each rank k the maximizing family member is A_k = X P_k / sqrt(f(P_k
-    X* X P_k)) with P_k the projection onto the top-k eigenvectors of the
-    representing operator; the list of values |f(X* A_k)|^2 is nondecreasing
-    and reaches f(X* X) at full rank.  Ranks whose normalizer vanishes
-    contribute zero (their numerator vanishes with them).
+    X* X P_k)) with P_k the projection onto the top-k eigenvectors v_i of the
+    representing operator.  P_k commutes with it, so |f(X* A_k)|^2 = f(P_k X*
+    X P_k) is the partial sum of w_i |X v_i|^2 over i <= k: nondecreasing, and
+    f(X* X) at full rank.  A rank whose normalizer vanishes contributes zero.
     """
     arg = _argument(x)
     rep = f.rep_matrix(arg.dim)
     if trace(rep) <= 0.0:
         raise ValidationError("the zero functional admits no normalized maximizing family")
-    gram = arg.array.conj().T @ arg.array
-    vectors = rep.spectrum.eigenvectors
-    out: List[float] = []
+    partial = np.cumsum(rep.eigenvalues * np.linalg.norm(arg.array @ rep.spectrum.eigenvectors, axis=0)**2)
     for rank in rank_schedule:
         if not (isinstance(rank, int) and 1 <= rank <= rep.dim):
             raise ValidationError(f"rank schedule entries must lie in 1..{rep.dim}, got {rank!r}")
-        basis = vectors[:, :rank]
-        projector = basis @ basis.conj().T
-        numerator = complex(np.trace(gram @ projector @ rep.array))
-        denominator = float(np.trace(projector @ gram @ projector @ rep.array).real)
-        out.append(0.0 if denominator <= 0.0 else abs(numerator) ** 2 / denominator)
-    return out
+    return [float(partial[rank - 1]) for rank in rank_schedule]
 
 
 def normality_gap(f: NormalFunctional) -> float:

@@ -9,15 +9,13 @@ independent ways, and certifies the split before returning it:
   scale doubles.  The whole family comes from the one scaled factorization of
   the parallel-sum engine, so that no accuracy is lost at scales like 2^60
   where a naive pseudoinverse of S + 2^k T would drown the small spectral
-  components in roundoff.  The scale doubles from 1 in the engine's frame,
-  not in the units of S and T.  The iteration runs in the r-dimensional weight
-  space of that factorization: each step's trace, trace-norm gap and
-  domination constant cost O(r), and monotonicity and PSD-ness of every step
-  follow from the structure the engine certifies once, at construction.  The
-  dense checks stay on the pair that is returned: the last approximant below
-  the limit in the Loewner order, and the last domination constant verified
-  by a Loewner comparison with c T.  The limit and the step approximants are
-  built from their factors, the latter only when they are read.
+  components in roundoff.  The schedule doubles the engine's filter argument
+  m from 1, not the caller's n, and runs in the r-dimensional weight space of
+  that factorization: each step's trace, trace-norm gap and domination
+  constant cost O(r), and monotonicity and PSD-ness of every step follow from
+  the structure the engine certifies once, at construction; only the returned
+  pair is checked densely.  The limit and the step approximants are built
+  from their factors, the latter only when they are read.
 
 * ``ac_part_closed`` evaluates the kernel-projection formula
   sqrt(S) P_M sqrt(S), where M is the null space of (I - P_T) sqrt(S), as
@@ -39,12 +37,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatchError, ValidationError
-from .parallel_sum import _ScaledParallelSums, is_singular_pair
+from .parallel_sum import _ldexp, _ScaledParallelSums, is_singular_pair
 from .psd_core import (
     CONV_TOL,
-    HermitianMatrix,
     PsdMatrix,
     _computed_psd,
+    _hermitian_trace_norm,
+    _unit,
     _with_spectrum,
     loewner_leq,
     range_contained,
@@ -68,9 +67,10 @@ _KERNEL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class IterationStep:
-    """One monotone approximant (n T) : S: step k, the scale n applied to T as
-    given (2^k in the engine's frame), its trace, the trace-norm gap to the next
-    approximant and the smallest c with S_k <= c T (inf if none).  The
+    """One monotone approximant (n T) : S: step k at the engine's filter
+    argument m = 2^k, the scale n = m / 4^shift applied to T as given (inf
+    past float64), its trace, the trace-norm gap to the next approximant and
+    the smallest c with S_k <= c T (inf if none or past float64).  The
     approximant itself is built from the shared factorization on read."""
 
     k: int
@@ -82,7 +82,7 @@ class IterationStep:
 
     @property
     def approximant(self) -> PsdMatrix:
-        return self.family.member(self.scale)
+        return self.family.member(2.0**self.k)
 
 
 @dataclass(frozen=True)
@@ -116,25 +116,41 @@ class LebesgueDecomposition:
 
 def _domination_constant(candidate: np.ndarray, t: PsdMatrix) -> float:
     """Smallest c with candidate <= c T assuming range containment; inf if the
-    Loewner check rejects the computed constant."""
+    Loewner check rejects it.  Both run on the candidate divided by its power
+    of two and on T / 4^e, whose square root is exact, so nothing leaves the
+    float range; a c above float64 raises, one below it rounds to 0."""
     k = t.rank()
     if k == 0:
         return 0.0 if not np.any(candidate) else math.inf
-    inv_root = t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(t.eigenvalues[:k]))
-    compressed = inv_root.conj().T @ candidate @ inv_root
-    c = max(float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[-1]), 0.0)
-    return _verified_bound(candidate, c, t)
+    # normal powers of two, so dividing a complex array by them is exact; T's is even
+    unit, t_unit = _unit(candidate), math.ldexp(1.0, max(2 * ((math.frexp(t.lam_max)[1] - 1) // 2), -1022))
+    framed_t = _with_spectrum(t.array / t_unit, t.eigenvalues / t_unit, t.spectrum.eigenvectors)
+    inv_root = framed_t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_t.eigenvalues[:k]))
+    compressed = inv_root.conj().T @ (candidate / unit) @ inv_root
+    framed = max(float(np.linalg.eigvalsh(compressed / 2 + compressed.conj().T / 2)[-1]), 0.0)
+    if math.isinf(_verified_bound(candidate / unit, framed, framed_t)):
+        return math.inf
+    power = math.frexp(unit)[1] - math.frexp(t_unit)[1]
+    if math.isinf(c := _ldexp(framed, power)):
+        raise ConsistencyError(f"domination constant {framed:.3e} * 2^{power} exceeds float64",
+                               details={"stage": "domination", "framed": framed, "power": power})
+    return c
 
 
 def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix) -> float:
-    """c if the Loewner check accepts candidate <= c T, inf otherwise; c T reuses T's spectrum."""
-    scaled = _with_spectrum(c * t.array, c * t.eigenvalues, t.spectrum.eigenvectors)
-    return c if loewner_leq(candidate, scaled) else math.inf
+    """c if the Loewner check accepts candidate <= c T, inf otherwise (c = inf passes
+    through).  For c >= 1 both sides are divided by c's power of two, so c T cannot
+    overflow; c T reuses T's spectrum."""
+    if math.isinf(c):
+        return c
+    shrink = math.ldexp(1.0, -max(math.frexp(c)[1], 0))
+    scaled = _with_spectrum(c * shrink * t.array, c * shrink * t.eigenvalues, t.spectrum.eigenvectors)
+    return c if loewner_leq(candidate * shrink, scaled) else math.inf
 
 
 def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationTrace]:
-    """Limit of the monotone approximants (n T) : S, n = 2^k / ratio, with the
-    full record; the engine's filter argument n * ratio is 2^k exactly.
+    """Limit of the monotone approximants (n T) : S at the engine's filter
+    arguments m = 2^k, with the full record.
 
     Stops at the first approximant within CONV_TOL * trace_norm(S) of the
     limit in trace norm, a distance the weights give in closed form, so a
@@ -151,25 +167,25 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     """
     family = _ScaledParallelSums(s, t)
     threshold = CONV_TOL * trace_norm(s)
-    reach = family.reach()
-    bound = max(0, math.ceil(math.log2(reach / threshold))) if reach else 0
+    reach = family.reach(threshold)
+    bound = max(0, math.ceil(math.log2(reach))) if reach else 0
     steps: List[IterationStep] = []
     for k in range(bound + 1):
-        scale = 2.0**k / family.ratio
+        m = 2.0**k
         step = IterationStep(
             k=k,
-            scale=scale,
-            trace=family.trace_at(scale),
-            gap=family.gap(scale, 2.0 * scale),
-            c_bound=family.domination_at(scale),
+            scale=_ldexp(m, -2 * family.shift),
+            trace=family.trace_at(m),
+            gap=family.gap(m, 2.0 * m),
+            c_bound=family.domination_at(m),
             family=family,
         )
-        remaining = family.gap(2.0 * scale, math.inf)
+        remaining = family.gap(2.0 * m, math.inf)
         if remaining > threshold:
             steps.append(step)
             continue
-        current = family.at_scale(scale)
-        limit = family.member(2.0 * scale)
+        current = family.at_scale(m)
+        limit = family.member(2.0 * m)
         if not loewner_leq(current, limit):
             raise ConsistencyError(
                 f"approximant sequence is not monotone at step k={k}",
@@ -219,16 +235,16 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
     ac_factor, sing_factor = _closed_factors(s, t)
     ac = _computed_psd(ac_factor, s.lam_max)
     scale = trace_norm(s) or 1.0  # an exactly zero S splits into exact zeros
-    drift = trace_norm(HermitianMatrix(iterative.array - ac.array)) / scale
-    if drift > ORACLE_AGREEMENT_RTOL:
+    drift = _hermitian_trace_norm(iterative.array - ac.array) / scale
+    if not drift <= ORACLE_AGREEMENT_RTOL:
         raise ConsistencyError(
             f"independent computations of the regular part disagree "
             f"(relative trace-norm gap {drift:.3e})",
             details={"iterative": iterative, "closed": ac},
         )
     sing = _computed_psd(sing_factor, s.lam_max)
-    residual = trace_norm(HermitianMatrix(ac.array + sing.array - s.array)) / scale
-    if residual > ADDITIVITY_RTOL:
+    residual = _hermitian_trace_norm(ac.array + sing.array - s.array) / scale
+    if not residual <= ADDITIVITY_RTOL:
         raise ConsistencyError(f"regular and singular parts do not add back to the input ({residual:.3e})")
     if not is_singular_pair(sing, t):
         raise ConsistencyError("computed singular part is not singular to the reference operator")

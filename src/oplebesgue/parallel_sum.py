@@ -25,17 +25,26 @@ from .psd_core import CONV_TOL, PSD_TOL, RANK_CUTOFF, PsdMatrix, _computed_psd, 
 _FILTER_FLOOR = 1e-14
 
 
+def _ldexp(value: float, exponent: int) -> float:
+    """value * 2^exponent: exact inside the float64 range, inf past its top."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.inf
+
+
 class _ScaledParallelSums:
     """Evaluator for the whole family n -> (n T) : S from one factorization.
 
     Writing T = L L* and S = R R* through their spectral forms, each factor is
     divided by the exact power of two u_T, u_S that puts its largest singular
-    value in [1/2, 1), so (n T) : S = u_S^2 (m T') : S' with m = n * ratio
-    exactly, ratio = u_T^2 / u_S^2 a power of four; the monotone schedule
-    counts m, not n.  The Gram matrix of [L' R'] yields an orthonormal basis
-    W = [W1; W2] of its range.  With a_i, U the eigenpairs of W1* W1, each
-    component has one basis image Y_i = [L' R'] (W U)_i, no shorter than the
-    smallest kept singular value of [L' R'], and one weight in the filter
+    value in [1/2, 1), so (n T) : S = u_S^2 (m T') : S' with m = n 4^shift
+    exactly for the integer ``shift``.  Every method takes m and answers in
+    S's units; m = None is the unit member n = 1, whose m may leave the float
+    range.  The Gram matrix of [L' R'] yields an orthonormal basis W = [W1; W2]
+    of its range.  With a_i, U the eigenpairs of W1* W1, each component has one
+    basis image Y_i = [L' R'] (W U)_i, no shorter than the smallest kept
+    singular value of [L' R'], and one weight in the filter
     phi_i(m) = m / ((1 - a_i) + m a_i), through which alone the scale enters:
 
         (m T') : S'  =  sum_i phi_i(m) a_i (1 - a_i) Y_i Y_i*.
@@ -55,7 +64,7 @@ class _ScaledParallelSums:
             raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
         left, unit_t = self._factor(t)
         right, unit_s = self._factor(s)
-        self.ratio = (unit_t / unit_s) ** 2
+        self.shift = math.frexp(unit_t)[1] - math.frexp(unit_s)[1]
         self._lam_s, self._lam_t = s.lam_max, t.lam_max
         p = left.shape[1]
         stacked = np.concatenate([left, right], axis=1)
@@ -77,7 +86,7 @@ class _ScaledParallelSums:
         image = self._front[:, carried] + self._back[:, carried]
         norm = np.linalg.norm(image, axis=0)
         self._direction = image / norm
-        self._mass = a * (1.0 - a) * norm**2 * unit_s**2
+        self._mass = a * (1.0 - a) * norm**2 * unit_s * unit_s  # u_S^2 itself can overflow
         del self._front, self._back  # the certificate's inputs, not kept
 
     @staticmethod
@@ -101,7 +110,7 @@ class _ScaledParallelSums:
         the joint magnitude sqrt(lambda_max(S') lambda_max(T')), which bounds
         |F_i| |H_i|.  Such components come from the a_i = 1 columns, whose H_i
         vanishes in exact arithmetic, and carry no weight, as do components
-        with e_i = 0.  Any other failure raises ConsistencyError.
+        with e_i = 0 or a_i = 1 (d_i = 0).  Any other failure raises ConsistencyError.
         """
         a = self._weights
         if np.any((a <= 0.0) | (a > 1.0)):
@@ -121,33 +130,41 @@ class _ScaledParallelSums:
                 details={"component": worst, "trace": float(mass[worst]),
                          "bound": float(product[worst])},
             )
-        return psd_term & (mass > 0.0)
+        return psd_term & (mass > 0.0) & (a < 1.0)
 
-    def _filter(self, scale: float) -> np.ndarray:
-        a, m = self._weights, scale * self.ratio
-        return m / ((1.0 - a) + m * a)
+    def _filter(self, m: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """phi_i(m) = 1 / ((1 - a_i) / m + a_i), 1 / a_i at m = inf, with the d_i
+        it weighs.  The unit member at m = 4^shift < 1 gives phi_i(m) / m
+        against d_i m instead, so an m that underflows is never multiplied in."""
+        a, unit = self._weights, _ldexp(1.0, 2 * self.shift)
+        if m is None and self.shift < 0:
+            return 1.0 / ((1.0 - a) + unit * a), np.ldexp(self._mass, 2 * self.shift)
+        return 1.0 / ((1.0 - a) / (unit if m is None else m) + a), self._mass
 
-    def factor_at(self, scale: float) -> np.ndarray:
-        """A factor X of (scale * T) : S = X X*."""
-        return self._direction * np.sqrt(self._filter(scale) * self._mass)
+    def factor_at(self, m: Optional[float]) -> np.ndarray:
+        """A factor X of the member at m, X X* = (n T) : S."""
+        phi, mass = self._filter(m)
+        return self._direction * np.sqrt(phi * mass)
 
-    def at_scale(self, scale: float) -> np.ndarray:
-        """(scale * T) : S as a Hermitian array."""
-        factor = self.factor_at(scale)
+    def at_scale(self, m: float) -> np.ndarray:
+        """The member at filter argument m as a Hermitian array."""
+        factor = self.factor_at(m)
         product = factor @ factor.conj().T
-        return (product + product.conj().T) / 2
+        return product / 2 + product.conj().T / 2
 
-    def member(self, scale: float) -> PsdMatrix:
-        """(scale * T) : S, rank-cut at the largest eigenvalue it can have,
-        min(lambda_max(S), scale * lambda_max(T))."""
-        return _computed_psd(self.factor_at(scale), min(self._lam_s, scale * self._lam_t))
+    def member(self, m: Optional[float]) -> PsdMatrix:
+        """The member at m, rank-cut at the largest eigenvalue it can have,
+        min(lambda_max(S), n lambda_max(T))."""
+        top = self._lam_t if m is None else _ldexp(m * self._lam_t, -2 * self.shift)
+        return _computed_psd(self.factor_at(m), min(self._lam_s, top))
 
-    def trace_at(self, scale: float) -> float:
-        """trace((scale * T) : S)."""
-        return float(self._filter(scale) @ self._mass)
+    def trace_at(self, m: Optional[float]) -> float:
+        """The trace of the member at m."""
+        phi, mass = self._filter(m)
+        return float(phi @ mass)
 
-    def gap(self, scale: float, larger: float) -> float:
-        """Trace norm of (larger * T) : S - (scale * T) : S.
+    def gap(self, m: float, larger: float) -> float:
+        """Trace norm of the member at ``larger`` minus the member at m.
 
         The filter increment is written as (1 - m/M)(1 - a) / (((1 - a)/M + a)
         ((1 - a) + m a)), a product of nonnegative factors, so the gap is
@@ -155,36 +172,38 @@ class _ScaledParallelSums:
         denominator rounds to zero when m is below the precision of 1, and
         ``larger = inf`` gives the distance to the limit of the family.
         """
-        a, m, big = self._weights, scale * self.ratio, larger * self.ratio
-        increment = (1.0 - m / big) * (1.0 - a) / (((1.0 - a) / big + a) * ((1.0 - a) + m * a))
+        a = self._weights
+        increment = (1.0 - m / larger) * (1.0 - a) / (((1.0 - a) / larger + a) * ((1.0 - a) + m * a))
         return float(increment @ self._mass)
 
-    def reach(self) -> float:
-        """sum_i d_i / a_i^2, which bounds m times the distance to the limit at
-        filter argument m, sum_i d_i (1 - a_i) / (a_i ((1 - a_i) + m a_i))."""
-        return float(np.sum(self._mass / self._weights**2))
+    def reach(self, threshold: float) -> float:
+        """sum_i (d_i / threshold) / a_i^2, which bounds m / threshold times the
+        distance to the limit at filter argument m, sum_i d_i (1 - a_i) /
+        (a_i ((1 - a_i) + m a_i)); d_i / a_i^2 alone can overflow."""
+        return float(np.sum(self._mass / threshold / self._weights**2))
 
-    def domination_at(self, scale: float) -> float:
-        """Smallest c with (scale * T) : S <= c T, from the weights alone.
+    def domination_at(self, m: float) -> float:
+        """Smallest c with (n T) : S <= c T from the weights alone, inf past float64.
 
         Whitened by T', the vectors F_i = a_i Y_i become the columns of W1 U,
         of Gram matrix diag(a), so (m T') : S' is diagonal with entries
-        phi_i(m) (1 - a_i); dividing by ratio carries c from T' back to T.
+        phi_i(m) (1 - a_i); dividing by 4^shift carries c from T' back to T.
         """
-        return float(np.max(self._filter(scale) * (1.0 - self._weights), initial=0.0)) / self.ratio
+        framed = float(np.max(self._filter(m)[0] * (1.0 - self._weights), initial=0.0))
+        return _ldexp(framed, -2 * self.shift)
 
 
 def parallel_sum(s: PsdMatrix, t: PsdMatrix) -> PsdMatrix:
     """Parallel sum S:T = S (S+T)^+ T, the unit-scale member of the factored
     family, so no pseudoinverse of S + T is ever formed."""
-    return _ScaledParallelSums(s, t).member(1.0)
+    return _ScaledParallelSums(s, t).member(None)
 
 
 def _singularity(s: PsdMatrix, t: PsdMatrix) -> Tuple[bool, _ScaledParallelSums]:
     """The singularity verdict of ``is_singular_pair`` with the parallel-sum
     family it was read from."""
     family = _ScaledParallelSums(s, t)
-    mean_trace = family.trace_at(1.0)
+    mean_trace = family.trace_at(None)
     trace_says = mean_trace <= CONV_TOL * min(trace(s), trace(t))
 
     k_s, k_t = s.rank(), t.rank()
@@ -227,4 +246,4 @@ def nonzero_common_minorant(s: PsdMatrix, t: PsdMatrix) -> Optional[PsdMatrix]:
     singularity test has already factored, and is built only when returned.
     """
     singular, family = _singularity(s, t)
-    return None if singular else family.member(1.0)
+    return None if singular else family.member(None)

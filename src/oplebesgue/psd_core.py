@@ -80,8 +80,8 @@ class HermitianMatrix:
     """A validated square complex matrix equal to its conjugate transpose.
 
     Real symmetric input is accepted as the zero-imaginary-part special case.
-    The stored array is the Hermitian average (A + A*)/2 of the input and is
-    read-only.
+    The stored array is the Hermitian average A/2 + A*/2 of the input, which
+    cannot overflow, and is read-only.
     """
 
     __slots__ = ("_array",)
@@ -92,14 +92,14 @@ class HermitianMatrix:
             raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
         if arr.size and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ValidationError("matrix entries must be finite")
-        deviation = np.abs(arr - arr.conj().T)
-        if arr.size and deviation.max() > HERMITIAN_ATOL * np.abs(arr).max():
+        deviation = np.abs(arr / 2 - arr.conj().T / 2)  # halved, so it cannot overflow
+        if arr.size and deviation.max() > HERMITIAN_ATOL * np.abs(arr).max() / 2:
             i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
             raise ValidationError(
                 f"matrix is not Hermitian: entries ({i},{j})={arr[i, j]:.6g} and "
                 f"({j},{i})={arr[j, i]:.6g} differ beyond tolerance"
             )
-        self._array = _frozen((arr + arr.conj().T) / 2)
+        self._array = _frozen(arr / 2 + arr.conj().T / 2)
 
     @property
     def array(self) -> np.ndarray:
@@ -136,11 +136,13 @@ def eigh(matrix) -> SpectralDecomp:
     w, V = np.linalg.eigh(arr)
     w, V = w[::-1].copy(), V[:, ::-1].copy()
     decomp = SpectralDecomp(_frozen(w), _frozen(V))
+    if math.isinf(sum(np.abs(w).tolist())):  # a Python float sum overflows to inf, silently
+        raise ValidationError("matrix trace norm must fit a float64")
     unit = _unit(arr)
-    if np.linalg.norm((decomp.reconstruct() - arr) / unit) > SPECTRAL_TOL * np.linalg.norm(arr / unit):
+    if not np.linalg.norm((decomp.reconstruct() - arr) / unit) <= SPECTRAL_TOL * np.linalg.norm(arr / unit):
         raise ConsistencyError("spectral factorization failed to reconstruct its input")
     gram_err = float(np.linalg.norm(V.conj().T @ V - np.eye(herm.dim)))
-    if gram_err > SPECTRAL_TOL:
+    if not gram_err <= SPECTRAL_TOL:
         raise ConsistencyError("eigenvector system is not orthonormal")
     return decomp
 
@@ -163,7 +165,7 @@ class PsdMatrix(HermitianMatrix):
         lam_max = float(w[0]) if w.size else 0.0
         band = PSD_TOL * lam_max
         lam_min = float(w[-1]) if w.size else 0.0
-        if lam_min < -band:
+        if not lam_min >= -band:
             raise ValidationError(
                 f"matrix is not positive semidefinite: eigenvalue {lam_min:.6g} "
                 f"below tolerance band {-band:.6g}"
@@ -214,10 +216,10 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray):
 
 def _with_spectrum(array, w, V) -> PsdMatrix:
     """An operator whose spectrum (w, V) is in hand, stored sorted descending with
-    the Hermitian average (A + A*)/2 of its array; nothing is factored again."""
+    the Hermitian average A/2 + A*/2 of its array; nothing is factored again."""
     order = np.argsort(-w, kind="stable")
     psd = object.__new__(PsdMatrix)
-    psd._array = _frozen((array + array.conj().T) / 2)
+    psd._array = _frozen(array / 2 + array.conj().T / 2)
     psd._spectrum = SpectralDecomp(_frozen(w[order]), _frozen(V[:, order]))
     return psd
 
@@ -291,6 +293,11 @@ def _singular_values(matrix) -> np.ndarray:
 def trace_norm(matrix) -> float:
     """Sum of singular values; equals the trace for PSD input."""
     return float(_singular_values(matrix).sum())
+
+
+def _hermitian_trace_norm(array: np.ndarray) -> float:
+    """Trace norm of a computed Hermitian array, past the input gate; nan unless every entry is finite."""
+    return float(np.abs(np.linalg.eigvalsh(array)).sum()) if np.all(np.isfinite(array)) else math.nan
 
 
 def op_norm(matrix) -> float:

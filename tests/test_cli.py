@@ -347,6 +347,14 @@ class TestOutOfRangeNumbers:
                                 tmp_path / "r.json"], capsys)
         assert_invalid(code, err, "finite")
 
+    def test_trace_norm_that_overflows_exits_2(self, tmp_path, capsys):
+        # every entry fits a float64, but lambda_max = 3e308 does not
+        s_path = tmp_path / "s.json"
+        s_path.write_text(json.dumps({"dim": 2, "real": [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]}))
+        code, _, err = run_cli(["--quiet", "decompose", s_path, DATA / "t_diag10.json",
+                                tmp_path / "r.json"], capsys)
+        assert_invalid(code, err, "trace norm must fit a float64")
+
     def test_prefix_whose_sum_overflows_exits_2(self, tmp_path, capsys):
         s_path = tmp_path / "s.json"
         s_path.write_text(json.dumps({"prefix": [1e308, 1e308], "tail": None}))
@@ -431,6 +439,20 @@ RESCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
 class TestValidInputNeverExits2:
     """A valid pair exits 0 at every rescale: the input gate, the monotone
     schedule and every certificate judge each operand at its own scale."""
+
+    @pytest.mark.parametrize("entry", [1e-308, 1e-315, 5e-324])
+    def test_operand_at_the_bottom_of_the_float_range_exits_0(self, tmp_path, capsys, entry):
+        # the two operands' scales are 4^shift apart for an integer shift far
+        # beyond the float range, so no ratio of them is ever formed
+        s_path = tmp_path / "s.json"
+        s_path.write_text(json.dumps({"dim": 2, "real": [[entry, entry], [entry, entry]]}))
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(["--quiet", "decompose", s_path, DATA / "t_diag10.json", out], capsys)
+        assert code == 0 and err == "", err
+        body = json.loads(out.read_text())["decomposition"]
+        assert body["unique"] is True and body["c"] == 0.0
+        # subnormal entries carry only a few bits: the part is S to a few of their units
+        np.testing.assert_allclose(body["sing"]["real"], np.full((2, 2), entry), rtol=1e-12, atol=1e-322)
 
     @pytest.mark.parametrize("structure, dim, seed", [
         ("generic", 16, 0),

@@ -29,6 +29,7 @@ from oplebesgue import (
     trace,
     trace_norm,
 )
+from oplebesgue.psd_core import _with_spectrum
 from conftest import make_rng, random_hermitian, random_psd, random_unitary
 
 functionals = importlib.import_module("oplebesgue.functionals")
@@ -177,6 +178,21 @@ class TestLebesgue:
         monkeypatch.setattr(functionals, "decompose", inflated)
         with pytest.raises(ConsistencyError, match="not additive"):
             functional_lebesgue(g, f)
+
+    def test_planted_nan_fails_additivity(self, monkeypatch):
+        decompose = functionals.decompose
+
+        def planted(g, f):
+            split = decompose(g, f)
+            array = split.ac.array.copy()
+            array[0, 0] = np.nan
+            ac = _with_spectrum(array, split.ac.eigenvalues, split.ac.spectrum.eigenvectors)
+            return dataclasses.replace(split, ac=ac)
+
+        rng = make_rng(65)
+        monkeypatch.setattr(functionals, "decompose", planted)
+        with pytest.raises(ConsistencyError, match="not additive"):
+            functional_lebesgue(f_of(random_psd(rng, 5).array), f_of(random_psd(rng, 5, rank=2).array))
 
     @pytest.mark.parametrize("defect", [
         # a 1.5x entry at index 40, past any fixed truncation of 32

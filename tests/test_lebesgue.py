@@ -25,7 +25,8 @@ from conftest import (GRADED_FLOORS, graded_panel, make_rng, random_psd, random_
                       structured_pair)
 
 lebesgue = importlib.import_module("oplebesgue.lebesgue")
-CONV_TOL = importlib.import_module("oplebesgue.psd_core").CONV_TOL
+psd_core = importlib.import_module("oplebesgue.psd_core")
+CONV_TOL = psd_core.CONV_TOL
 _ScaledParallelSums = importlib.import_module("oplebesgue.parallel_sum")._ScaledParallelSums
 
 DIAG10 = PsdMatrix(np.diag([1.0, 0.0]))
@@ -86,15 +87,15 @@ class TestIterative:
             _, record = ac_part_iterative(s, t)
             family = _ScaledParallelSums(s, t)
             threshold = CONV_TOL * trace_norm(s)
-            distances = [family.gap(2.0 * step.scale, np.inf) for step in record.steps]
+            distances = [family.gap(2.0 ** (step.k + 1), np.inf) for step in record.steps]
             assert all(d > threshold for d in distances[:-1]) and distances[-1] <= threshold
             assert [step.k for step in record.steps] == list(range(len(record.steps)))
-            assert record.steps[-1].k <= math.ceil(math.log2(family.reach() / threshold))
+            assert record.steps[-1].k <= math.ceil(math.log2(family.reach(threshold)))
 
     def test_passing_the_derived_bound_is_a_consistency_error(self, monkeypatch):
         # weights that break their own bound: K computes to 0 for a pair that
         # needs about 30 doublings, and the fall-through names stage and margin
-        monkeypatch.setattr(_ScaledParallelSums, "reach", lambda self: 1e-12)
+        monkeypatch.setattr(_ScaledParallelSums, "reach", lambda self, threshold: 1e-12 / threshold)
         with pytest.raises(ConsistencyError, match="derived bound") as excinfo:
             ac_part_iterative(EYE2, EYE2)
         details = excinfo.value.details
@@ -110,7 +111,7 @@ class TestIterative:
         np.testing.assert_allclose(dec.ac.array, np.eye(2), rtol=0, atol=1e-12)
         assert dec.uniqueness.c == pytest.approx(1.0 / floor, rel=1e-12)
         family = _ScaledParallelSums(EYE2, t)
-        bound = math.ceil(math.log2(family.reach() / (CONV_TOL * 2.0)))
+        bound = math.ceil(math.log2(family.reach(CONV_TOL * 2.0)))
         assert len(dec.trace_of_iteration.steps) <= bound
 
     def test_zero_reference(self):
@@ -140,8 +141,8 @@ def dense_steps(s, t, steps):
     family = _ScaledParallelSums(s, t)
     out = []
     for step in steps:
-        current = family.at_scale(step.scale)
-        following = family.at_scale(2.0 * step.scale)
+        current = family.at_scale(2.0**step.k)
+        following = family.at_scale(2.0 ** (step.k + 1))
         out.append((
             float(np.trace(current).real),
             trace_norm(following - current),
@@ -185,7 +186,7 @@ class TestFactoredIteration:
         family = _ScaledParallelSums(s, t)
         assert len(record.steps) > 1
         for step in record.steps:
-            assert np.array_equal(step.approximant.array, family.at_scale(step.scale))
+            assert np.array_equal(step.approximant.array, family.at_scale(2.0**step.k))
 
     @pytest.mark.parametrize("breakage, diagnosis", [
         ("flipped back column", "not a PSD term"),
@@ -219,19 +220,19 @@ class TestFactoredIteration:
         class Shrinking(_ScaledParallelSums):
             power = 0.5
 
-            def factor_at(self, scale):
-                return super().factor_at(scale) / scale**self.power
+            def factor_at(self, m):
+                return super().factor_at(m) / m**self.power
 
         class ShrinkingFaster(Shrinking):
             power = 1.0
 
         class Undercounting(_ScaledParallelSums):
-            def domination_at(self, scale):
-                return super().domination_at(scale) / 2
+            def domination_at(self, m):
+                return super().domination_at(m) / 2
 
         rng = make_rng(31)
         s, t = random_psd(rng, 16, rank=12), random_psd(rng, 16, rank=12)
-        # members shrinking by 1/n and by 1/n^2: the violation is at the size
+        # members shrinking by 1/m and by 1/m^2: the violation is at the size
         # of the members, so the band must be relative to them, not floored
         for shrinking in (Shrinking, ShrinkingFaster):
             monkeypatch.setattr(lebesgue, "_ScaledParallelSums", shrinking)
@@ -380,8 +381,11 @@ class TestScaleCovariance:
         s, t = structured_pair(structure, 16, 0)
         base = decompose(PsdMatrix(s), PsdMatrix(t))
         base_steps = base.trace_of_iteration.steps
-        for j in (-30, -13, 0, 13, 30):
-            for k in (-30, -13, 0, 13, 30):
+        # up to 4^+-200: past about 1e154 LAPACK rescales internally and the
+        # results are no longer bitwise covariant
+        powers = (-200, -150, -60, -30, -13, 0, 13, 30, 60, 150, 200)
+        for j in powers:
+            for k in powers:
                 alpha, ratio = 4.0**j, 4.0 ** (j - k)
                 dec = decompose(PsdMatrix(alpha * s), PsdMatrix(4.0**k * t))
                 where = f"{structure} at (4^{j}, 4^{k})"
@@ -407,6 +411,45 @@ class TestScaleCovariance:
                 drift = trace_norm(dec.ac.array / alpha - base.ac.array) / size
                 assert drift <= 1e-12, f"{structure} at ({alpha:g}, {beta:g}): {drift:.3e}"
                 assert dec.uniqueness.unique
+
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_thinned_sweep_over_the_float_range(self, structure):
+        # operands from 1e-300 to 1e300: ac scales with alpha, and c with
+        # alpha / beta, rounding to 0 below float64; a c above float64 is an
+        # answer the format cannot carry, a ConsistencyError of the domination
+        # stage, never an overflow, a warning or a LinAlgError
+        s, t = structured_pair(structure, 16, 0)
+        base = decompose(PsdMatrix(s), PsdMatrix(t))
+        size = trace_norm(PsdMatrix(s))
+        scales = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+        for alpha in scales:
+            for beta in scales:
+                where = f"{structure} at ({alpha:g}, {beta:g})"
+                exact_c = base.uniqueness.c * alpha / beta
+                if math.isinf(exact_c):
+                    with pytest.raises(ConsistencyError, match="exceeds float64") as excinfo:
+                        decompose(PsdMatrix(alpha * s), PsdMatrix(beta * t))
+                    assert excinfo.value.details["stage"] == "domination", where
+                    continue
+                dec = decompose(PsdMatrix(alpha * s), PsdMatrix(beta * t))
+                assert trace_norm(dec.ac.array / alpha - base.ac.array) <= 1e-12 * size, where
+                assert dec.uniqueness.unique, where
+                assert dec.uniqueness.c == pytest.approx(exact_c, rel=1e-8, abs=0.0), where
+
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_operands_near_the_float64_maximum(self, structure):
+        # lambda_max(S) = lambda_max(T) = 4e306: the step bound, the member
+        # average and the Loewner checks of c T all stay in range
+        s, t = structured_pair(structure, 16, 0)
+        s, t = s / np.linalg.eigvalsh(s)[-1], t / np.linalg.eigvalsh(t)[-1]
+        base = decompose(PsdMatrix(s), PsdMatrix(t))
+        dec = decompose(PsdMatrix(4e306 * s), PsdMatrix(4e306 * t))
+        assert trace_norm(dec.ac.array / 4e306 - base.ac.array) <= 1e-12 * trace_norm(PsdMatrix(s))
+        assert dec.uniqueness.c == pytest.approx(base.uniqueness.c, rel=1e-8, abs=0.0)
+        dec = decompose(PsdMatrix(np.diag([1.5e308, 1.0])), DIAG10)
+        assert np.array_equal(dec.ac.array, np.diag([1.5e308, 0.0])) and dec.uniqueness.c == 1.5e308
 
 
 class TestGradedReference:
@@ -462,6 +505,26 @@ class TestFactoredSplit:
         s, t = self.pairs((0.75, 0.75), count=1)[0]
         monkeypatch.setattr(lebesgue, "_closed_factors", perturbed)
         with pytest.raises(ConsistencyError, match="singular part.*do not add back"):
+            decompose(s, t)
+
+    @pytest.mark.parametrize("planted, diagnosis", [(0, "regular part disagree"),
+                                                    (1, "do not add back")])
+    def test_planted_nan_is_an_internal_failure(self, monkeypatch, planted, diagnosis):
+        # the drift and additivity norms are taken past the input gate, and
+        # nan passes neither check: exit 3, not "entries must be finite"
+        computed, made = lebesgue._computed_psd, []
+
+        def planting(factor, scale):
+            made.append(computed(factor, scale))  # the regular part, then the singular
+            if len(made) - 1 != planted:
+                return made[-1]
+            array = made[-1].array.copy()
+            array[0, 0] = np.nan
+            return psd_core._with_spectrum(array, made[-1].eigenvalues, made[-1].spectrum.eigenvectors)
+
+        s, t = self.pairs((0.75, 0.75), count=1)[0]
+        monkeypatch.setattr(lebesgue, "_computed_psd", planting)
+        with pytest.raises(ConsistencyError, match=diagnosis):
             decompose(s, t)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-8])

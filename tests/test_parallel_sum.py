@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oplebesgue import (
     DimensionMismatchError,
     PsdMatrix,
+    decompose,
     is_singular_pair,
     loewner_leq,
     nonzero_common_minorant,
@@ -13,7 +15,7 @@ from oplebesgue import (
     trace,
 )
 from oplebesgue.psd_core import trace_norm
-from conftest import GRADED_FLOORS, graded_panel, make_rng, random_psd, random_unitary
+from conftest import GRADED_FLOORS, graded_panel, make_rng, random_psd, random_unitary, structured_pair
 
 # the package re-exports the function parallel_sum under the module's name
 parallel_sum_module = importlib.import_module("oplebesgue.parallel_sum")
@@ -220,13 +222,13 @@ class TestSingularityReadsTheWeights:
         built = []
         factor_at = parallel_sum_module._ScaledParallelSums.factor_at
         monkeypatch.setattr(parallel_sum_module._ScaledParallelSums, "factor_at",
-                            lambda self, scale: built.append(scale) or factor_at(self, scale))
+                            lambda self, m: built.append(m) or factor_at(self, m))
         e1, e2 = PsdMatrix(np.diag([1.0, 0.0])), PsdMatrix(np.diag([0.0, 1.0]))
         assert nonzero_common_minorant(e1, e2) is None
         assert is_singular_pair(*self.pairs()[0]) is False
         assert built == []
         assert nonzero_common_minorant(*self.pairs()[0]) is not None
-        assert built == [1.0]
+        assert built == [None]  # the unit member
 
 
 class TestOperandsAtTheirOwnScale:
@@ -244,9 +246,11 @@ class TestOperandsAtTheirOwnScale:
             assert unit._weights.size > 0
             assert far._weights.size == unit._weights.size
             np.testing.assert_allclose(far._weights, unit._weights, rtol=0, atol=1e-12)
-            # the scale map is exact: (n T'):S' at n = 4^(2 power) is (T:S) times 4^power
-            assert far.trace_at(16.0**power) == pytest.approx(4.0**power * unit.trace_at(1.0),
-                                                               rel=1e-12)
+            # the frames differ by shift alone: at one filter argument m the
+            # far member is the unit one times 4^power
+            assert far.shift == unit.shift - 2 * power
+            for m in (1.0, 2.0**20):
+                assert far.trace_at(m) == pytest.approx(4.0**power * unit.trace_at(m), rel=1e-12)
 
     def test_filter_stays_finite_below_the_precision_of_one(self):
         # a weight-one component has phi = 1 at every scale; written as
@@ -255,10 +259,25 @@ class TestOperandsAtTheirOwnScale:
         s, t = random_psd(rng, 12, rank=9), random_psd(rng, 12, rank=9)
         far = parallel_sum_module._ScaledParallelSums(
             PsdMatrix(4.0**40 * s.array), PsdMatrix(4.0**-40 * t.array))
-        for scale in (1.0, 2.0**30, 2.0**59):
-            assert np.all(np.isfinite(far._filter(scale)))
-            assert np.isfinite(far.gap(scale, 2.0 * scale)) and far.gap(scale, 2.0 * scale) >= 0.0
-            assert np.all(np.isfinite(far.factor_at(scale)))
+        assert far.shift <= -79
+        for n in (1.0, 2.0**30, 2.0**59):
+            m = math.ldexp(n, 2 * far.shift)  # at most 2^-99
+            assert np.all(np.isfinite(far._filter(m)[0]))
+            assert np.isfinite(far.gap(m, 2.0 * m)) and far.gap(m, 2.0 * m) >= 0.0
+            assert np.all(np.isfinite(far.factor_at(m)))
+
+    @pytest.mark.parametrize("alpha, beta", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_parallel_sum_at_opposite_ends_of_the_float_range(self, alpha, beta):
+        # 4^shift over- or underflows here; (alpha S) : (beta T) is then the
+        # smaller operand's part absolutely continuous to the larger one, to
+        # far below roundoff, and the two singularity criteria agree
+        s, t = structured_pair("generic", 16, 0)
+        big, small, size = (s, t, beta) if alpha > beta else (t, s, alpha)
+        expected = size * decompose(PsdMatrix(small), PsdMatrix(big)).ac.array
+        got = parallel_sum(PsdMatrix(alpha * s), PsdMatrix(beta * t))
+        assert trace_norm(got.array / size - expected / size) <= 1e-12 * trace_norm(PsdMatrix(small))
+        assert not is_singular_pair(PsdMatrix(alpha * s), PsdMatrix(beta * t))
+        assert nonzero_common_minorant(PsdMatrix(alpha * s), PsdMatrix(beta * t)).rank() == got.rank() > 0
 
     @pytest.mark.parametrize("floor", GRADED_FLOORS)
     def test_limit_of_a_graded_full_rank_reference_is_s(self, floor):

@@ -110,6 +110,39 @@ class TestEigh:
         with pytest.raises(ConsistencyError, match="reconstruct"):
             eigh(a)
 
+    def test_planted_nan_is_rejected(self, monkeypatch):
+        # a nan eigenvalue fails the reconstruction check instead of passing it
+        original = np.linalg.eigh
+
+        def planting(m):
+            w, v = original(m)
+            return np.where(np.arange(w.size) == 0, np.nan, w), v
+
+        monkeypatch.setattr(np.linalg, "eigh", planting)
+        with pytest.raises(ConsistencyError, match="reconstruct"):
+            eigh(random_psd(make_rng(6), 6, rank=4).array)
+
+
+class TestTopOfTheFloatRange:
+    """The Hermitian average A/2 + A*/2 cannot overflow, so entries up to the
+    float64 maximum are stored as given; an operand whose trace norm
+    overflows is rejected as input."""
+
+    def test_entries_near_the_maximum_are_stored_exactly(self):
+        psd = PsdMatrix(np.diag([1.5e308, 1.0]))
+        assert np.array_equal(psd.array, np.diag([1.5e308, 1.0]))
+        assert list(psd.eigenvalues) == [1.5e308, 1.0]
+
+    def test_asymmetry_near_the_maximum_is_measured_without_overflow(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianMatrix(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
+    @pytest.mark.parametrize("entries", [np.full((2, 2), 1.5e308), np.diag([1e308, 1e308])],
+                             ids=["lambda_max", "trace"])
+    def test_overflowing_trace_norm_is_invalid_input(self, entries):
+        with pytest.raises(ValidationError, match="trace norm must fit a float64"):
+            PsdMatrix(entries)
+
 
 class TestSqrt:
     def test_diagonal_roots(self):
