@@ -203,7 +203,7 @@ def cmd_decompose(args) -> int:
             "ac": sequence_to_json(split.ac),
             "sing": sequence_to_json(split.sing),
             "unique": split.certificate.bounded,
-            "c": _json_number(split.certificate.c),
+            "c": _json_number(split.certificate.constant()),
             "iterations": [],
         }
     else:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
@@ -43,6 +44,9 @@ VALUE_FLOOR = 1e-280
 
 # Default number of terms materialized by the unbounded-ratio construction.
 DEFAULT_HORIZON = 10_000
+
+# log of the largest float64: exp overflows past it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,23 @@ class RatioCertificate:
     denominator: Optional[L1Sequence] = None
     overrides: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
 
+    def constant(self) -> Optional[float]:
+        """The supremum c of a bounded certificate, None for an unbounded one.
+
+        A bounded supremum past float64 is an answer no float64 carries: it
+        raises ConsistencyError of the domination stage, as the matrix
+        domination constant does, with the largest ratio in log scale."""
+        if self.bounded and math.isinf(self.c):
+            num, den = self.numerator, self.denominator
+            log_ratio, index = max((num.log_value_at(n) - den.log_value_at(n), n)
+                                   for n in range(1, num.prefix_len + 2) if num.value_at(n) > 0)
+            log10_c = log_ratio / math.log(10)
+            raise ConsistencyError(
+                f"domination constant 10^{log10_c:.1f} exceeds float64 (ratio at index {index})",
+                details={"stage": "domination", "index": index, "log10_c": log10_c},
+            )
+        return self.c
+
     def ratio_at(self, n: int) -> float:
         """Entrywise ratio at index n, evaluated in log scale."""
         log_ratio = self.numerator.log_value_at(n) - self.denominator.log_value_at(n)
@@ -259,7 +280,7 @@ def _diag_split(s: L1Sequence, t: L1Sequence) -> DiagonalDecomposition:
     each entry of s wholesale to ac (t > 0) or sing (t = 0) and takes the
     largest ratio ac/t.  A tail on t absorbs the whole tail of s into ac; the
     ratio of two geometric tails is geometric, bounded iff r_s <= r_t, with its
-    supremum at the first tail index."""
+    supremum at the first tail index, inf if it lies past float64."""
     upto = max(s.prefix_len, t.prefix_len)
     s_a, t_a = s.materialized(upto), t.materialized(upto)
     ac, sing, sup = [], [], 0.0
@@ -273,7 +294,8 @@ def _diag_split(s: L1Sequence, t: L1Sequence) -> DiagonalDecomposition:
     if ac_tail is not None and ac_tail.r > t_a.tail.r:
         sup = None
     elif ac_tail is not None:
-        sup = max(sup, math.exp(s_a.log_value_at(upto + 1) - t_a.log_value_at(upto + 1)))
+        log_ratio = s_a.log_value_at(upto + 1) - t_a.log_value_at(upto + 1)
+        sup = max(sup, math.exp(log_ratio) if log_ratio < _LOG_FLOAT_MAX else math.inf)
     ac_seq = _computed_sequence(tuple(ac), ac_tail)
     certificate = RatioCertificate(bounded=sup is not None, c=sup, numerator=ac_seq, denominator=t)
     return DiagonalDecomposition(ac_seq, _computed_sequence(tuple(sing), sing_tail), certificate)
@@ -292,13 +314,14 @@ def diag_is_dominated(s: L1Sequence, t: L1Sequence) -> Optional[float]:
     split = _diag_split(s, t)
     if split.sing.tail is not None or any(split.sing.prefix):
         return None
-    return split.certificate.c
+    return split.certificate.constant()
 
 
 def diag_uniqueness(s: L1Sequence, t: L1Sequence) -> Tuple[bool, RatioCertificate]:
     """Is the diagonal decomposition of s relative to t unique?  Exactly when
     the regular part is t-dominated; the certificate carries the domination
-    constant, or the witness schedule of the unbounded ratio."""
+    constant (inf past float64, which ``constant`` rejects), or the witness
+    schedule of the unbounded ratio."""
     certificate = _diag_split(s, t).certificate
     return certificate.bounded, certificate
 

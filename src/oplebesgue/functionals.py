@@ -150,7 +150,7 @@ def functional_uniqueness(g: NormalFunctional, f: NormalFunctional) -> Uniquenes
         return uniqueness_certificate(g.rep, f.rep)
     unique, certificate = diag_uniqueness(g.rep, f.rep)
     if unique:
-        return UniquenessCertificate(unique=True, c=certificate.c)
+        return UniquenessCertificate(unique=True, c=certificate.constant())
     return UniquenessCertificate(unique=False, c=math.inf, witness=_describe_unbounded(certificate))
 
 

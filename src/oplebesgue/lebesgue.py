@@ -70,8 +70,9 @@ class IterationStep:
     """One monotone approximant (n T) : S: step k at the engine's filter
     argument m = 2^k, the scale n = m / 4^shift applied to T as given (inf
     past float64), its trace, the trace-norm gap to the next approximant and
-    the smallest c with S_k <= c T (inf if none or past float64).  The
-    approximant itself is built from the shared factorization on read."""
+    the smallest c with S_k <= c T, rounded to float64 (0 below its range,
+    inf past it or if none).  The approximant itself is built from the shared
+    factorization on read."""
 
     k: int
     scale: float
@@ -114,23 +115,32 @@ class LebesgueDecomposition:
     uniqueness: UniquenessCertificate
 
 
-def _domination_constant(candidate: np.ndarray, t: PsdMatrix) -> float:
-    """Smallest c with candidate <= c T assuming range containment; inf if the
-    Loewner check rejects it.  Both run on the candidate divided by its power
-    of two and on T / 4^e, whose square root is exact, so nothing leaves the
-    float range; a c above float64 raises, one below it rounds to 0."""
-    k = t.rank()
-    if k == 0:
-        return 0.0 if not np.any(candidate) else math.inf
-    # normal powers of two, so dividing a complex array by them is exact; T's is even
+def _frames(candidate: np.ndarray, t: PsdMatrix) -> Tuple[np.ndarray, PsdMatrix, int]:
+    """The frames every domination constant is found and checked in: the
+    candidate divided by its power of two, T by 4^e, whose square root is
+    exact, and the power p with c = c_framed * 2^p.  Both divisors are normal
+    powers of two, so the division of a complex array by them is exact."""
     unit, t_unit = _unit(candidate), math.ldexp(1.0, max(2 * ((math.frexp(t.lam_max)[1] - 1) // 2), -1022))
     framed_t = _with_spectrum(t.array / t_unit, t.eigenvalues / t_unit, t.spectrum.eigenvectors)
-    inv_root = framed_t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_t.eigenvalues[:k]))
-    compressed = inv_root.conj().T @ (candidate / unit) @ inv_root
-    framed = max(float(np.linalg.eigvalsh(compressed / 2 + compressed.conj().T / 2)[-1]), 0.0)
-    if math.isinf(_verified_bound(candidate / unit, framed, framed_t)):
+    return candidate / unit, framed_t, math.frexp(unit)[1] - math.frexp(t_unit)[1]
+
+
+def _domination_constant(candidate: np.ndarray, t: PsdMatrix) -> float:
+    """Smallest c with candidate <= c T assuming range containment; inf if the
+    Loewner check rejects it.  Both run in ``_frames``, so nothing leaves the
+    float range; a c above float64 raises, one below it rounds to 0.  An
+    exactly zero candidate has c = 0 against every T."""
+    if not np.any(candidate):
+        return 0.0
+    k = t.rank()
+    if k == 0:
         return math.inf
-    power = math.frexp(unit)[1] - math.frexp(t_unit)[1]
+    framed_candidate, framed_t, power = _frames(candidate, t)
+    inv_root = framed_t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_t.eigenvalues[:k]))
+    compressed = inv_root.conj().T @ framed_candidate @ inv_root
+    framed = max(float(np.linalg.eigvalsh(compressed / 2 + compressed.conj().T / 2)[-1]), 0.0)
+    if math.isinf(_verified_bound(framed_candidate, framed, framed_t)):
+        return math.inf
     if math.isinf(c := _ldexp(framed, power)):
         raise ConsistencyError(f"domination constant {framed:.3e} * 2^{power} exceeds float64",
                                details={"stage": "domination", "framed": framed, "power": power})
@@ -163,7 +173,8 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     broke their own bound and raises ConsistencyError.  Each step is read off
     the engine's weights; the returned approximant is verified densely: above
     the last recorded one in the Loewner order, PSD by construction, and with
-    the last domination constant checked against T.
+    the last domination constant checked against T in ``_frames``, so it is
+    rounded to float64 only once it has passed.
     """
     family = _ScaledParallelSums(s, t)
     threshold = CONV_TOL * trace_norm(s)
@@ -172,12 +183,13 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     steps: List[IterationStep] = []
     for k in range(bound + 1):
         m = 2.0**k
+        c_family = family.domination_at(m)
         step = IterationStep(
             k=k,
             scale=_ldexp(m, -2 * family.shift),
             trace=family.trace_at(m),
             gap=family.gap(m, 2.0 * m),
-            c_bound=family.domination_at(m),
+            c_bound=_ldexp(c_family, -2 * family.shift),
             family=family,
         )
         remaining = family.gap(2.0 * m, math.inf)
@@ -191,7 +203,10 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
                 f"approximant sequence is not monotone at step k={k}",
                 details={"step": k, "gap": step.gap},
             )
-        steps.append(replace(step, c_bound=_verified_bound(current, step.c_bound, t)))
+        # c_family / 4^shift, carried into the frames and out again only once checked
+        framed_current, framed_t, power = _frames(current, t)
+        c_bound = _verified_bound(framed_current, _ldexp(c_family, -2 * family.shift - power), framed_t)
+        steps.append(replace(step, c_bound=_ldexp(c_bound, power)))
         return limit, IterationTrace(tuple(steps))
     raise ConsistencyError(
         f"monotone approximation passed its derived bound of K={bound} scale doublings "

@@ -57,6 +57,14 @@ class _ScaledParallelSums:
     trace norm sum_i (phi_i(m) - phi_i(n)) d_i.  The split Y_i = F_i + H_i,
     F = L' W1 U = a Y and H = R' W2 U = (1 - a) Y in exact arithmetic, is
     certified once at construction and decides which components carry weight.
+
+    A weighted component, 0 < a_i < 1, has Y_i = F_i / a_i in range T' and
+    Y_i = H_i / (1 - a_i) in range S', so the weighted components live on
+    range S' intersect range T', of dimension p + q - kept for p = rank T,
+    q = rank S and kept the rank of the Gram matrix.  When the ranges meet
+    trivially, kept = p + q, W is square and unitary, W1* W1 is a projector
+    and every a_i is 0 or 1: the family is empty, and is built so without the
+    overlap eigenproblem.
     """
 
     def __init__(self, s: PsdMatrix, t: PsdMatrix):
@@ -72,6 +80,9 @@ class _ScaledParallelSums:
         gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
         # eigh sorts ascending: the kept components are the trailing ones
         kept = rank_at_scale(gw[::-1], gw.max(initial=0.0))
+        if kept == gw.size:  # the ranges meet trivially: no component carries weight
+            self._weights, self._mass, self._direction = np.zeros(0), np.zeros(0), stacked[:, :0]
+            return
         basis = gV[:, gw.size - kept:]
         top, bottom = basis[:p, :], basis[p:, :]
         overlap = top.conj().T @ top
@@ -183,14 +194,15 @@ class _ScaledParallelSums:
         return float(np.sum(self._mass / threshold / self._weights**2))
 
     def domination_at(self, m: float) -> float:
-        """Smallest c with (n T) : S <= c T from the weights alone, inf past float64.
+        """Smallest c with (m T') : S' <= c T' from the weights alone, in the
+        family's own frame: the c of (n T) : S against T is c / 4^shift,
+        which can leave the float range when this one does not.
 
         Whitened by T', the vectors F_i = a_i Y_i become the columns of W1 U,
         of Gram matrix diag(a), so (m T') : S' is diagonal with entries
-        phi_i(m) (1 - a_i); dividing by 4^shift carries c from T' back to T.
+        phi_i(m) (1 - a_i).
         """
-        framed = float(np.max(self._filter(m)[0] * (1.0 - self._weights), initial=0.0))
-        return _ldexp(framed, -2 * self.shift)
+        return float(np.max(self._filter(m)[0] * (1.0 - self._weights), initial=0.0))
 
 
 def parallel_sum(s: PsdMatrix, t: PsdMatrix) -> PsdMatrix:

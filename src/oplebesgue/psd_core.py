@@ -264,13 +264,15 @@ def loewner_leq(a, b) -> bool:
     True iff the smallest eigenvalue of b - a stays above -PSD_TOL * |b|, with
     |b| the largest |eigenvalue| of b (lambda_max(b) for PSD b): a band
     relative to b with no floor, so the comparison means the same at every
-    scale.  A PsdMatrix b supplies its cached spectrum.
+    scale.  A PsdMatrix b supplies its cached spectrum.  A b - a that is
+    exactly zero has smallest eigenvalue exactly 0 and is decided without one.
     """
     arr_a, arr_b = _as_array(a), _as_array(b)
     _require_same_dim(arr_a, arr_b)
-    if arr_a.size == 0:
+    difference = arr_b - arr_a
+    if not np.any(difference):
         return True
-    diff_min = float(np.linalg.eigvalsh(arr_b - arr_a)[0])
+    diff_min = float(np.linalg.eigvalsh(difference)[0])
     spectrum_b = b.eigenvalues if isinstance(b, PsdMatrix) else np.linalg.eigvalsh(arr_b)
     return diff_min >= -PSD_TOL * float(np.abs(spectrum_b).max(initial=0.0))
 
@@ -296,8 +298,11 @@ def trace_norm(matrix) -> float:
 
 
 def _hermitian_trace_norm(array: np.ndarray) -> float:
-    """Trace norm of a computed Hermitian array, past the input gate; nan unless every entry is finite."""
-    return float(np.abs(np.linalg.eigvalsh(array)).sum()) if np.all(np.isfinite(array)) else math.nan
+    """Trace norm of a computed Hermitian array, past the input gate; nan unless
+    every entry is finite, and 0.0 without an eigensolve for an exact zero."""
+    if not np.all(np.isfinite(array)):
+        return math.nan
+    return float(np.abs(np.linalg.eigvalsh(array)).sum()) if np.any(array) else 0.0
 
 
 def op_norm(matrix) -> float:

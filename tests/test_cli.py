@@ -363,6 +363,29 @@ class TestOutOfRangeNumbers:
         assert_invalid(code, err, "float64 range")
 
 
+class TestSequenceConstantPastFloat64:
+    """A bounded sequence ratio past float64 is an answer the format cannot
+    carry: exit 3 with one error line naming the domination stage, as for
+    matrices, never a null c with unique true or a traceback."""
+
+    @pytest.mark.parametrize("s_obj, t_obj", [
+        ({"prefix": [1e300]}, {"prefix": [1e-300]}),
+        ({"prefix": [], "tail": {"type": "geometric", "a": 1e300, "r": 0.5}},
+         {"prefix": [], "tail": {"type": "geometric", "a": 1e-300, "r": 0.5}}),
+    ], ids=["prefix", "tails"])
+    @pytest.mark.parametrize("command", ["decompose", "check-unique"])
+    def test_exits_3(self, tmp_path, capsys, s_obj, t_obj, command):
+        s_path, t_path = tmp_path / "s.json", tmp_path / "t.json"
+        s_path.write_text(json.dumps(s_obj))
+        t_path.write_text(json.dumps(t_obj))
+        extra = [tmp_path / "r.json"] if command == "decompose" else []
+        code, out, err = run_cli(["--quiet", command, s_path, t_path, *extra], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "exceeds float64" in err and "10^600.0" in err
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", [
         ["decompose", DATA / "s_ones.json", DATA / "t_diag10.json"],

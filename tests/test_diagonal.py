@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplebesgue import (
+    ConsistencyError,
     GeometricTail,
     L1Sequence,
     ValidationError,
@@ -144,6 +145,28 @@ class TestDiagDomination:
 
     def test_zero_sequence_is_dominated_by_anything(self):
         assert diag_is_dominated(L1Sequence(()), HALF) == 0.0
+
+    @pytest.mark.parametrize("s, t, index", [
+        (L1Sequence((1.0, 1e300)), L1Sequence((1.0, 1e-300)), 2),
+        (L1Sequence((), GeometricTail(1e300, 0.5)), L1Sequence((), GeometricTail(1e-300, 0.5)), 1),
+        (L1Sequence((1.0,), GeometricTail(1e200, 0.5)), L1Sequence((1.0,), GeometricTail(1e-200, 0.5)), 2),
+    ], ids=["prefix", "tails", "tails_past_a_prefix"])
+    def test_constant_past_float64_raises(self, s, t, index):
+        # a bounded ratio no float64 can hold is a failure of the domination
+        # stage, as for matrices; the certificate keeps it as inf and raises
+        # when it is read, and one just inside the range is the answer
+        unique, certificate = diag_uniqueness(s, t)
+        assert unique and certificate.c == math.inf
+        for read in (certificate.constant, lambda: diag_is_dominated(s, t)):
+            with pytest.raises(ConsistencyError, match="exceeds float64") as excinfo:
+                read()
+            assert excinfo.value.details["stage"] == "domination"
+            assert excinfo.value.details["index"] == index
+            assert excinfo.value.details["log10_c"] == pytest.approx(
+                math.log10(s.value_at(index)) - math.log10(t.value_at(index)))
+        assert diag_is_dominated(L1Sequence((1e154,)), L1Sequence((1e-154,))) == 1e154 / 1e-154
+        big, small = L1Sequence((), GeometricTail(1e154, 0.5)), L1Sequence((), GeometricTail(1e-154, 0.5))
+        assert diag_is_dominated(big, small) == pytest.approx(1e308, rel=1e-12)
 
 
 class TestDiagUniqueness:

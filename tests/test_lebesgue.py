@@ -243,9 +243,18 @@ class TestFactoredIteration:
         assert record.steps[-1].c_bound == np.inf
 
     def test_dense_spectral_calls_do_not_depend_on_steps(self, monkeypatch):
+        # both pairs have ranks 24 and 24 in n = 32, meeting in 16 dims; the
+        # short pair's S is a rank-8 part meeting range T trivially plus a
+        # faint rank-16 part inside range T, whose members reach their limit
+        # to within the threshold after one step
         rng = make_rng(29)
         s_long, t_long = random_psd(rng, 32, rank=24), random_psd(rng, 32, rank=24)
-        s_short, t_short = random_psd(rng, 32, rank=16), random_psd(rng, 32, rank=16)
+        t_short = random_psd(rng, 32, rank=24)
+        inside = t_short.spectrum.eigenvectors[:, :24] @ random_psd(rng, 24, rank=16).array
+        outside = random_psd(rng, 32, rank=8).array
+        s_short = PsdMatrix(outside + 1e-6 * inside @ inside.conj().T / 24)
+        for s, t in ((s_long, t_long), (s_short, t_short)):
+            assert s.rank() == t.rank() == 24 and _ScaledParallelSums(s, t)._weights.size == 16
         calls = []
         for name in ("eigh", "eigvalsh", "svd"):
             original = getattr(np.linalg, name)
@@ -439,6 +448,24 @@ class TestScaleCovariance:
 
 
     @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_iteration_record_rounds_its_last_constant(self, structure):
+        # the last step's constant is checked in the frames of the domination
+        # constant and rounded to float64 only then: below float64 it reads 0,
+        # as c does, not the inf of a zero constant that failed its check
+        s, t = structured_pair(structure, 16, 0)
+        base = decompose(PsdMatrix(s), PsdMatrix(t)).trace_of_iteration.steps[-1].c_bound
+        scales = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+        for alpha in scales:
+            for beta in (beta for beta in scales if beta >= alpha):
+                where = f"{structure} at ({alpha:g}, {beta:g})"
+                dec = decompose(PsdMatrix(alpha * s), PsdMatrix(beta * t))
+                last = dec.trace_of_iteration.steps[-1].c_bound
+                assert last == pytest.approx(base * alpha / beta, rel=1e-8, abs=0.0), where
+                assert last <= dec.uniqueness.c * (1.0 + 1e-8), where
+        dec = decompose(PsdMatrix(1e-300 * s), PsdMatrix(1e300 * t))
+        assert dec.trace_of_iteration.steps[-1].c_bound == dec.uniqueness.c == 0.0
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
     def test_operands_near_the_float64_maximum(self, structure):
         # lambda_max(S) = lambda_max(T) = 4e306: the step bound, the member
         # average and the Loewner checks of c T all stay in range
@@ -559,6 +586,17 @@ class TestDomination:
         for size in (1.0, 1e-12):
             assert is_dominated(PsdMatrix(size * np.eye(2)), zero) is None
 
+    def test_zero_candidate_needs_no_eigensolve(self, monkeypatch):
+        # an exactly zero candidate has c = 0 against every T, of any rank
+        rng = make_rng(42)
+        zero = PsdMatrix(np.zeros((8, 8)))
+        panel = [random_psd(rng, 8, rank=rank) for rank in (8, 3)] + [zero]
+        calls = TestSpectralBudget.counting(monkeypatch)
+        for t in panel:
+            assert lebesgue._domination_constant(np.zeros((8, 8), dtype=complex), t) == 0.0
+            assert is_dominated(zero, t) == 0.0
+        assert calls == []
+
     def test_constant_is_tight(self):
         rng = make_rng(41)
         for _ in range(10):
@@ -656,19 +694,22 @@ class TestSpectralBudget:
                                 calls.append(_n) or _f(*a, **k))
         return calls
 
-    @pytest.mark.parametrize("rank", [24, 16], ids=["generic", "singular"])
-    def test_decompose(self, monkeypatch, rank):
+    @pytest.mark.parametrize("rank, eigh, eigvalsh", [(24, 3, 7), (16, 2, 2)], ids=["generic", "singular"])
+    def test_decompose(self, monkeypatch, rank, eigh, eigvalsh):
         rng = make_rng(44)
         s, t = random_psd(rng, 32, rank=rank), random_psd(rng, 32, rank=rank)
         assert is_singular_pair(s, t) == (rank == 16)
         calls = self.counting(monkeypatch)
         assert decompose(s, t).uniqueness.unique
-        # eigh: the engine twice in the iteration and twice in the singularity
-        # test; the limit, the regular and the singular part take their spectra
-        # from thin SVDs of their factors, and trace_norm(S) reads the cached
-        # spectrum of S
-        assert calls.count("eigh") == 4
-        assert calls.count("eigvalsh") <= 7
+        # eigh: the Gram of the engine in the iteration and in the singularity
+        # test of (sing, T), and the overlap only where the ranges meet, which
+        # (sing, T) never do; the limit, the regular and the singular part take
+        # their spectra from thin SVDs of their factors, and trace_norm(S)
+        # reads the cached spectrum of S.  A singular pair has exactly zero
+        # iterates and regular part, whose checks need no eigvalsh: it keeps
+        # the additivity residual and the range join of the singularity test
+        assert calls.count("eigh") == eigh
+        assert calls.count("eigvalsh") == eigvalsh
 
     def test_verified_bound_reads_lambda_max_of_c_t_from_t(self, monkeypatch):
         rng = make_rng(45)

@@ -208,9 +208,11 @@ class TestSingularityReadsTheWeights:
                                 lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
         for s, t in pairs:
             calls.clear()
-            is_singular_pair(s, t)
-            # the engine's Gram and overlap eigh, the range-join eigvalsh
-            assert sorted(calls) == ["eigh", "eigh", "eigvalsh"]
+            singular = is_singular_pair(s, t)
+            # the engine's Gram eigh, its overlap eigh only where the ranges
+            # meet, and the range-join eigvalsh
+            assert singular == (s.rank() + t.rank() <= s.dim)
+            assert sorted(calls) == ["eigh"] * (1 if singular else 2) + ["eigvalsh"]
 
     def test_weight_trace_matches_the_dense_oracle(self):
         for s, t in self.pairs():
@@ -229,6 +231,37 @@ class TestSingularityReadsTheWeights:
         assert built == []
         assert nonzero_common_minorant(*self.pairs()[0]) is not None
         assert built == [None]  # the unit member
+
+
+class TestRangesMeetingTrivially:
+    """When the ranges meet trivially the Gram basis W is square and unitary,
+    so W1* W1 is a projector and no component carries weight: the engine is
+    built empty from its one Gram eigensolve."""
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100),
+                                             (1e100, 1e100), (1e-100, 1e-100)])
+    def test_overlap_is_a_projector_and_the_family_empty(self, monkeypatch, dim, alpha, beta):
+        s, t = structured_pair("singular", dim, 0)
+        s, t = PsdMatrix(alpha * s), PsdMatrix(beta * t)
+        left, _ = parallel_sum_module._ScaledParallelSums._factor(t)
+        right, _ = parallel_sum_module._ScaledParallelSums._factor(s)
+        stacked = np.concatenate([left, right], axis=1)
+        gw, gV = np.linalg.eigh(stacked.conj().T @ stacked)
+        assert gw[0] > 1e-10 * gw[-1]  # the Gram has full rank: W = gV is square
+        top = gV[:left.shape[1], :]
+        a = np.linalg.eigvalsh(top.conj().T @ top)
+        assert np.all(np.minimum(np.abs(a), np.abs(1.0 - a)) <= 1e-12)
+        assert np.count_nonzero(a > 0.5) == left.shape[1] == dim // 2
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
+        family = parallel_sum_module._ScaledParallelSums(s, t)
+        assert calls == ["eigh"]
+        assert family._weights.size == family._mass.size == 0 and family._direction.shape == (dim, 0)
+        assert family.trace_at(None) == 0.0 and family.reach(1.0) == 0.0
+        assert not np.any(family.at_scale(1.0)) and family.domination_at(1.0) == 0.0
 
 
 class TestOperandsAtTheirOwnScale:

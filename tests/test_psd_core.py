@@ -24,7 +24,7 @@ from oplebesgue import (
     trace,
     trace_norm,
 )
-from oplebesgue.psd_core import SPECTRAL_TOL, _computed_psd
+from oplebesgue.psd_core import SPECTRAL_TOL, _computed_psd, _hermitian_trace_norm
 from conftest import make_rng, random_hermitian, random_psd, random_unitary
 
 ONES2 = np.ones((2, 2))
@@ -245,6 +245,21 @@ class TestLoewner:
         assert [loewner_leq(a, b) for a, b in pairs] == expected
         assert len(calls) == len(pairs)
 
+    def test_exact_zero_difference_needs_no_eigensolve(self, monkeypatch):
+        # b - a exactly zero has smallest eigenvalue exactly 0, against a
+        # plain array b as against a PsdMatrix
+        rng = make_rng(17)
+        panel = [random_psd(rng, dim) for dim in (1, 4, 9)] + [PsdMatrix(np.zeros((3, 3)))]
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        for b in panel:
+            assert loewner_leq(b, b) and loewner_leq(b.array.copy(), b.array)
+        assert loewner_leq(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert calls == []
+
 
 class TestTraceFunctionals:
     def test_trace_norm_of_psd_is_trace(self):
@@ -304,6 +319,22 @@ class TestTraceFunctionals:
             assert trace_norm(a) == pytest.approx(trace_ref, rel=1e-12, abs=1e-12)
             assert op_norm(a) == pytest.approx(op_ref, rel=1e-12, abs=1e-12)
         assert calls == []
+
+    def test_hermitian_trace_norm_of_an_exact_zero(self, monkeypatch):
+        # an exactly zero finite array has trace norm 0.0 without an
+        # eigensolve; a non-finite one stays nan
+        zero = np.zeros((4, 4), dtype=complex)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        assert _hermitian_trace_norm(zero) == 0.0 and _hermitian_trace_norm(zero[:0, :0]) == 0.0
+        assert calls == []
+        for bad in (np.nan, np.inf):
+            broken = zero.copy()
+            broken[1, 2] = bad
+            assert np.isnan(_hermitian_trace_norm(broken))
+        assert _hermitian_trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0)
+        assert len(calls) == 1
 
 
 class TestSqrtRoundTrip:
