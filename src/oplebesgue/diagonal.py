@@ -12,10 +12,14 @@ schedule.  ``counterexample_pair`` packages that into a pair whose diagonal
 decomposition has no singular part yet admits no domination constant, so its
 decomposition is not unique -- something no matrix pair can exhibit.
 
-Each pair is split once per request: ``_diag_split`` aligns the two prefixes
-once and, in one pass, yields the regular part, the singular part and the
-ratio certificate of the regular part, which decomposition, domination,
-uniqueness and the counterexample check all read.
+Each pair is split once per request: ``_diag_split`` yields the regular part,
+the singular part and the ratio certificate of the regular part, which
+decomposition, domination, uniqueness and the counterexample check all read.
+It reads only what the answer needs: the runs of the base's support go
+wholesale to one part as slices of the other sequence's prefix; on the base's
+tail the support is known in closed form down to 2^-1000, so the scalar tail
+rule runs only past it; and the base's tail values are built for the ratio
+only when the tails leave it bounded.
 
 Floating point imposes a representation boundary: materialized prefix values
 stop at a safety floor (well above the float64 underflow threshold) and the
@@ -47,6 +51,14 @@ DEFAULT_HORIZON = 10_000
 
 # log of the largest float64: exp overflows past it.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# log 2^-1000: a tail value whose log stays above this is a normal float.
+_LOG_SURE_POSITIVE = -1000 * math.log(2.0)
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """exp of a log, inf past the largest float64 instead of an OverflowError."""
+    return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
 
 
 @dataclass(frozen=True)
@@ -234,7 +246,7 @@ class RatioCertificate:
     def ratio_at(self, n: int) -> float:
         """Entrywise ratio at index n, evaluated in log scale."""
         log_ratio = self.numerator.log_value_at(n) - self.denominator.log_value_at(n)
-        return math.exp(log_ratio) if log_ratio < 700 else math.inf
+        return _exp_or_inf(log_ratio)
 
     def witness_for(self, bound: float) -> int:
         """An index n with numerator_n / denominator_n >= bound."""
@@ -275,27 +287,83 @@ class DiagonalDecomposition:
     certificate: RatioCertificate
 
 
+def _sure_positive(tail: GeometricTail, count: int) -> int:
+    """How many of the tail offsets 1..count are positive in closed form: the
+    first offsets j where both j log r and log a + j log r lie above log 2^-1000.
+    There r**j is a normal float, and so is a * r**j, 74 binades above the
+    subnormals, so the scalar rule gives a positive value however pow rounds."""
+    log_r = math.log(tail.r)
+    reach = min(_LOG_SURE_POSITIVE / log_r, (_LOG_SURE_POSITIVE - math.log(tail.a)) / log_r)
+    return max(0, min(count, math.floor(reach)))
+
+
+def _array(values: Tuple[float, ...]) -> np.ndarray:
+    """A tuple of floats as a float array (``fromiter`` builds it faster than
+    ``np.array`` does from a tuple)."""
+    return np.fromiter(values, float, len(values))
+
+
+def _bounded_sup(s_a: L1Sequence, t: L1Sequence, on_t: np.ndarray, sure: int,
+                 past: Tuple[float, ...], tail_carried: bool) -> float:
+    """The supremum of the ratio s_a/t, when it is bounded, over s_a's aligned
+    prefix and, with ``tail_carried``, at the first tail index (inf past
+    float64).  t's aligned values are built here, each offset once, and freed
+    on return, before the parts are built.  The entries both sequences carry
+    are divided in one vectorized division; overflow gives inf, as Python's
+    ``/`` does."""
+    upto, tail = s_a.prefix_len, t.tail
+    t_values = t.prefix + (t._tail(range(1, sure + 1)) if sure else ()) + past
+    s_v, t_v = _array(s_a.prefix), _array(t_values)
+    kept = on_t & (s_v > 0)
+    with np.errstate(over="ignore"):
+        sup = float(np.divide(s_v, t_v, out=s_v, where=kept).max(where=kept, initial=0.0))
+    if tail_carried:
+        # the scale of t's tail rebased at upto, as ``materialized`` keeps it
+        rebased = t_values[-1] if upto > t.prefix_len else tail.a
+        log_ratio = s_a.log_value_at(upto + 1) - (math.log(rebased) + math.log(tail.r))
+        sup = max(sup, _exp_or_inf(log_ratio))
+    return sup
+
+
 def _diag_split(s: L1Sequence, t: L1Sequence) -> DiagonalDecomposition:
-    """The one split of a pair.  The prefixes are aligned once; one pass sends
-    each entry of s wholesale to ac (t > 0) or sing (t = 0) and takes the
-    largest ratio ac/t.  A tail on t absorbs the whole tail of s into ac; the
-    ratio of two geometric tails is geometric, bounded iff r_s <= r_t, with its
-    supremum at the first tail index, inf if it lies past float64."""
+    """The one split of a pair, reading only what the answer needs.
+
+    The prefixes are aligned to the longer one, s by ``materialized``.  Each
+    maximal run of t's support goes wholesale to ac (t > 0) or sing (t = 0) as
+    a slice of s's aligned prefix, with ``(0.0,) * len`` on the other side.
+    The parts grow run by run: filling whole-length lists and swapping the
+    gaps measured about 2 MB more peak RSS on 100 000-entry pairs (CPython
+    3.11, glibc malloc).  The support is read from t's explicit prefix and,
+    past it, from the closed form of ``_sure_positive``; the scalar rule
+    a * r**j runs only at the offsets beyond that range, and the last of them
+    decides whether t's rebased tail survives.
+
+    A surviving tail on t absorbs the whole tail of s into ac; the ratio of two
+    geometric tails is geometric, bounded iff r_s <= r_t, with its supremum at
+    the first tail index, inf if it lies past float64.  An unbounded ratio is
+    thus known from the tails alone; only a bounded one builds t's aligned
+    values, in ``_bounded_sup``."""
     upto = max(s.prefix_len, t.prefix_len)
-    s_a, t_a = s.materialized(upto), t.materialized(upto)
-    ac, sing, sup = [], [], 0.0
-    for sv, tv in zip(s_a.prefix, t_a.prefix):
-        on_t = tv > 0
-        ac.append(sv if on_t else 0.0)
-        sing.append(0.0 if on_t else sv)
-        if on_t and sv > 0:
-            sup = max(sup, sv / tv)
-    ac_tail, sing_tail = (s_a.tail, None) if t_a.tail is not None else (None, s_a.tail)
-    if ac_tail is not None and ac_tail.r > t_a.tail.r:
-        sup = None
-    elif ac_tail is not None:
-        log_ratio = s_a.log_value_at(upto + 1) - t_a.log_value_at(upto + 1)
-        sup = max(sup, math.exp(log_ratio) if log_ratio < _LOG_FLOAT_MAX else math.inf)
+    s_a = s.materialized(upto)
+    tail, extra = t.tail, upto - t.prefix_len
+    if tail is None:
+        sure, past = 0, (0.0,) * extra
+    else:
+        sure = _sure_positive(tail, extra)
+        past = t._tail(range(sure + 1, extra + 1))
+    t_live = tail is not None and (not past or past[-1] > 0.0)
+    on_t = np.concatenate((_array(t.prefix) > 0, np.ones(sure, dtype=bool), _array(past) > 0))
+    ac_tail, sing_tail = (s_a.tail, None) if t_live else (None, s_a.tail)
+    sup = None
+    if ac_tail is None or ac_tail.r <= tail.r:
+        sup = _bounded_sup(s_a, t, on_t, sure, past, ac_tail is not None)
+    edges = [0, *(np.flatnonzero(on_t[1:] != on_t[:-1]) + 1).tolist(), upto]
+    ac, sing, carried = [], [], upto > 0 and bool(on_t[0])
+    for lo, hi in zip(edges, edges[1:]):
+        run, zeros = s_a.prefix[lo:hi], (0.0,) * (hi - lo)
+        ac += run if carried else zeros
+        sing += zeros if carried else run
+        carried = not carried
     ac_seq = _computed_sequence(tuple(ac), ac_tail)
     certificate = RatioCertificate(bounded=sup is not None, c=sup, numerator=ac_seq, denominator=t)
     return DiagonalDecomposition(ac_seq, _computed_sequence(tuple(sing), sing_tail), certificate)
@@ -360,13 +428,13 @@ def construct_unbounded_ratio(
     vals = lam.values(upto)
     body = vals * np.power(2.0, -np.arange(1, upto + 1, dtype=float))
     overrides = []
-    k = 1
-    for idx in range(1, upto + 1):
-        v = float(vals[idx - 1])
-        if v > 0 and v <= 2.0 ** (-k):
+    k, bound = 1, 0.5
+    for idx, v in enumerate(vals.tolist(), 1):
+        if 0 < v <= bound:
             body[idx - 1] = k * v
             overrides.append((idx, k))
             k += 1
+            bound = 2.0 ** -k
     anchor = lam.value_at(upto + 1)
     if anchor <= 0.0:
         raise ValidationError("tail values underflow float64 before any term is representable")

@@ -228,6 +228,18 @@ class TestConstruction:
         assert np.all(mu.values(mu.prefix_len) >= 0.0)
         assert mu.tail is not None and mu.tail.a > 0
 
+    def test_ratio_at_is_finite_up_to_the_float64_limit(self):
+        # the log ratio at the witness of 1e305 is about 702.7: a finite ratio,
+        # and inf only past the log of the largest float64
+        _, cert = construct_unbounded_ratio(L1Sequence((), GeometricTail(0.5, 0.5)), 50)
+        index = cert.witness_for(1e305)
+        log_ratio = cert.numerator.log_value_at(index) - cert.denominator.log_value_at(index)
+        assert 700 < log_ratio < math.log(sys.float_info.max)
+        assert cert.ratio_at(index) == math.exp(log_ratio) >= 1e305
+        far = index + 30
+        assert cert.numerator.log_value_at(far) - cert.denominator.log_value_at(far) > math.log(sys.float_info.max)
+        assert cert.ratio_at(far) == math.inf
+
     def test_slow_decay_uses_envelope_witnesses(self):
         slow = L1Sequence((), GeometricTail(1.0, 0.9))
         mu, cert = construct_unbounded_ratio(slow, horizon=500)
@@ -384,7 +396,37 @@ def _split_panel():
     vanishing = L1Sequence((1.0, 0.0), GeometricTail(1e-300, 0.01))
     pairs += [(long_s, HALF), (HALF, long_s), (long_s, vanishing), (vanishing, long_s),
               (QUARTER, HALF), (HALF, QUARTER), (HALF, HALF), (L1Sequence(()), HALF)]
+    # the edges of the tail rule, in both orders of length: signed zeros in a
+    # long s, a tail of t underflowing inside the aligned range, pow
+    # underflowing near offset 1075 while a * r**j would not (past s and
+    # inside it), r next below 1, empty prefixes
+    values = [float(v) for v in rng.uniform(0.0, 2.0, 1200)]
+    for n in range(0, 1200, 7):
+        values[n] = -0.0 if n % 2 else 0.0
+    signed_s = L1Sequence(tuple(values), GeometricTail(0.25, 0.9))
+    signed = L1Sequence((-0.0, 1.0, 0.0, -0.0, 2.0, -0.0), GeometricTail(0.5, 0.5))
+    signed_t = L1Sequence((1.0, -0.0, 0.0, 3.0, -0.0, 1.0, 0.0, 2.0), GeometricTail(0.5, 0.75))
+    pow_first = L1Sequence((), GeometricTail(1e300, 0.5))
+    near_one = L1Sequence((1.0, -0.0), GeometricTail(0.5, 1 - 2**-52))
+    empty = L1Sequence(())
+    pairs += [
+        (signed_s, vanishing), (signed_s, pow_first),
+        (L1Sequence(tuple(values[:900]), GeometricTail(0.5, 0.9)), pow_first),
+        (signed_s, near_one), (L1Sequence(tuple(values[:40]), GeometricTail(0.5, 1 - 2**-52)), near_one),
+        (signed, signed_t), (signed, L1Sequence(tuple(values[:300]), GeometricTail(1.0, 0.5))),
+        (signed, signed_s), (L1Sequence((1.0,), GeometricTail(1.0, 0.95)), signed_s),
+        (empty, empty), (HALF, empty),
+        (L1Sequence((), GeometricTail(2.0, 0.5)), L1Sequence((), GeometricTail(1e-300, 0.25))),
+    ]
     return pairs
+
+
+def _bits(x):
+    """A float, a sequence's prefix and tail, or None, bit for bit: zero signs
+    and the exact values, which ``==`` does not separate."""
+    if x is None or isinstance(x, float):
+        return x if x is None else x.hex()
+    return tuple(v.hex() for v in x.prefix), x.tail and (x.tail.a.hex(), x.tail.r.hex())
 
 
 def _count_splits(monkeypatch):
@@ -406,8 +448,8 @@ def _count_splits(monkeypatch):
 
 
 class TestOneSplit:
-    """Decomposition, domination and uniqueness read one split of the pair,
-    aligned once, and agree with the unsplit formulas entry for entry."""
+    """Decomposition, domination and uniqueness read one split of the pair
+    and agree with the unsplit formulas entry for entry, bit for bit."""
 
     def test_panel_matches_unsplit_formulas(self, monkeypatch):
         panel = _split_panel()
@@ -416,8 +458,8 @@ class TestOneSplit:
             ac_ref, sing_ref = unsplit_decompose(s, t)
             c_ref = unsplit_dominated(ac_ref, t)
             checks = [
-                (lambda: diag_decompose(s, t), (ac_ref, sing_ref)),
-                (lambda: diag_is_dominated(s, t), unsplit_dominated(s, t)),
+                (lambda: tuple(map(_bits, diag_decompose(s, t))), (_bits(ac_ref), _bits(sing_ref))),
+                (lambda: _bits(diag_is_dominated(s, t)), _bits(unsplit_dominated(s, t))),
                 (lambda: diag_uniqueness(s, t)[0], c_ref is not None),
             ]
             for call, expected in checks:
@@ -425,8 +467,8 @@ class TestOneSplit:
                 assert call() == expected
                 assert counts["split"] == 1 and counts["materialized"] <= 1
             unique, cert = diag_uniqueness(s, t)
-            assert cert.c == c_ref and cert.bounded == unique
-            assert cert.numerator == ac_ref and cert.denominator is t
+            assert _bits(cert.c) == _bits(c_ref) and cert.bounded == unique
+            assert _bits(cert.numerator) == _bits(ac_ref) and cert.denominator is t
 
     def test_split_record(self):
         t, s = counterexample_pair(THIRD, horizon=200)
@@ -455,6 +497,32 @@ class TestOneSplit:
         assert seq.materialized(2) is seq
 
     def test_counterexample_is_verified_on_one_split(self, monkeypatch):
+        # the companion is unbounded against its base: no value of the base's
+        # tail is read, so nothing is materialized
         counts = _count_splits(monkeypatch)
         counterexample_pair(L1Sequence((1.0, 0.0, 0.5), GeometricTail(0.5, 0.9)), horizon=500)
-        assert counts == {"split": 1, "materialized": 1}
+        assert counts == {"split": 1, "materialized": 0}
+
+    def test_split_evaluates_only_the_tail_values_it_reads(self, monkeypatch):
+        # a 256-entry base with r = 0.999 and its 100 256-entry companion: the
+        # closed form covers the whole aligned tail, so an unbounded split
+        # evaluates no value of the base's tail, and a bounded one, which needs
+        # the ratio, evaluates each offset once
+        rng = make_rng(61)
+        prefix = tuple(float(v) if rng.random() > 0.25 else 0.0 for v in rng.uniform(0.05, 1.0, 256))
+        lam = L1Sequence(prefix, GeometricTail(0.5, 0.999))
+        mu, _ = construct_unbounded_ratio(lam, 100_000)
+        assert mu.prefix_len == 100_256
+        offsets, tail = [], L1Sequence._tail
+
+        def counted_tail(self, offs):
+            offs = list(offs)
+            offsets.extend(offs)
+            return tail(self, offs)
+
+        monkeypatch.setattr(L1Sequence, "_tail", counted_tail)
+        assert not diagonal._diag_split(mu, lam).certificate.bounded
+        assert offsets == []
+        dominated = L1Sequence(mu.prefix, GeometricTail(mu.tail.a, lam.tail.r))
+        assert diagonal._diag_split(dominated, lam).certificate.bounded
+        assert sorted(offsets) == list(range(1, 100_001))
