@@ -20,12 +20,13 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 import time
+
+import numpy as np
 
 from .diagonal import (
     _diag_split,
@@ -38,13 +39,23 @@ from .diagonal import (
 from .errors import ConsistencyError, ValidationError
 from .functionals import NormalFunctional, functional_from_json, functional_uniqueness
 from .lebesgue import ac_part_iterative, decompose
-from .psd_core import CONV_TOL, PSD_TOL, RANK_CUTOFF, matrix_to_json, psd_from_json
+from .psd_core import CONV_TOL, PSD_TOL, RANK_CUTOFF, _matrix_grids, psd_from_json
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_TRUNCATE = 32
+# the supported option maxima: --truncate sizes one dense n x n operand and
+# its n x n eigh, --horizon the entries of the constructed sequence
+MAX_TRUNCATE = 2048
+MAX_HORIZON = 1_000_000
+
+# entries of a flat number list per C-encoder call, and characters of report
+# text gathered per write to the output file: a few writes per MB of report,
+# while a batch, its join and its encoded bytes stay small next to the operands
+_SLICE = 4096
+_BATCH = 1 << 18
 
 
 def _fail(message: str, code: int) -> int:
@@ -52,16 +63,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_json(path: str):
+def _load_json(path: str, hashed: bool = False):
+    """``(obj, digest)``: the decoded file, and the sha256 of its bytes when
+    ``hashed`` (the reports that echo their inputs), else None."""
     try:
         with open(path, "rb") as handle:
             payload = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(payload, parse_int=_json_int), hashlib.sha256(payload).hexdigest()
+        obj = json.loads(payload, parse_int=_json_int)
     except ValueError as exc:  # malformed, or an integer no float can hold
         raise ValidationError(f"cannot read {path} as JSON: {exc}") from exc
+    return obj, hashlib.sha256(payload).hexdigest() if hashed else None
 
 
 def _json_int(digits: str) -> int:
@@ -81,9 +95,9 @@ def _sniff_kind(obj) -> str:
     raise ValidationError("input JSON is neither a matrix, a sequence, nor a functional")
 
 
-def _load_pair(path_s: str, path_t: str):
+def _load_pair(path_s: str, path_t: str, hashed: bool = False):
     """Both operand files of a pair command: (kind, (obj_s, digest_s), (obj_t, digest_t))."""
-    loaded_s, loaded_t = _load_json(path_s), _load_json(path_t)
+    loaded_s, loaded_t = _load_json(path_s, hashed), _load_json(path_t, hashed)
     kind_s, kind_t = _sniff_kind(loaded_s[0]), _sniff_kind(loaded_t[0])
     if kind_s != kind_t:
         raise ValidationError(f"input kinds do not match: {kind_s} vs {kind_t}")
@@ -101,19 +115,27 @@ def _echo(obj, kind: str, digest: str) -> dict:
     }
 
 
+def _check_at_most(what: str, value: int, maximum: int):
+    if value > maximum:
+        raise ValidationError(f"{what} must be <= {maximum}, got {value}")
+
+
 def _json_number(value):
     if value is None or not math.isfinite(value):
         return None
     return value
 
 
-def _write_atomic(path: str, data: str, quiet: bool):
-    """Write through a temporary file renamed over ``path``; on any failure the
-    temporary file is removed and ``path`` is left as it was."""
+def _write_atomic(path: str, fill, quiet: bool):
+    """Write through a temporary file renamed over ``path``: ``fill(handle)``
+    writes the body to the open temporary file, in as many ``write`` calls as
+    it needs.  On any failure, one raised by ``fill`` after it has written
+    part of the body included, the temporary file is removed and ``path`` is
+    left as it was."""
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(data)
+            fill(handle)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -123,50 +145,59 @@ def _write_atomic(path: str, data: str, quiet: bool):
         print(f"wrote {path}")
 
 
-def _write_output(path: str, data: str, quiet: bool):
+def _write_output(path: str, fill, quiet: bool):
     try:
-        _write_atomic(path, data, quiet)
+        _write_atomic(path, fill, quiet)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _pretty(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
-
-    ``indent`` makes the stdlib drop its C encoder, so lists and dicts are
-    walked here as its pure-Python encoder walks them, and each flat list of
-    numbers goes to the C encoder with the indented line break as its item
-    separator; every scalar goes to ``json.dumps``.  The text is gathered in
-    chunks and joined once.
-    """
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte: the
+    chunks of ``_layout`` joined."""
     chunks = []
-    _layout(obj, "\n", chunks)
+    _layout(obj, "\n", chunks.append)
     return "".join(chunks)
 
 
-def _layout(obj, newline: str, chunks: list):
-    """Append the text of ``obj`` to ``chunks``; ``newline`` is the line break,
-    with its indent, of the nesting level ``obj`` sits at."""
+def _layout(obj, newline: str, emit):
+    """Pass the text of ``obj`` to ``emit`` chunk by chunk, laid out as
+    ``json.dumps(obj, sort_keys=True, indent=2)`` lays it out; ``newline`` is
+    the line break, with its indent, of the nesting level ``obj`` sits at.
+
+    ``indent`` makes the stdlib drop its C encoder, so lists and dicts are
+    walked here as its pure-Python encoder walks them, and each flat list of
+    numbers goes to the C encoder, ``_SLICE`` entries at a time, with the
+    indented line break as its item separator; every scalar goes to
+    ``json.dumps``.  A numpy array is laid out as its ``tolist()``, a 2-D one
+    row by row, so no nested list of the whole array is built.
+    """
+    if isinstance(obj, np.ndarray):
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
     inner = newline + "  "
     if isinstance(obj, (list, tuple)) and obj:
-        chunks.append("[" + inner)
+        emit("[" + inner)
+        separator = "," + inner
         if set(map(type, obj)) <= {float, int}:
-            chunks.append(json.dumps(obj, separators=("," + inner, ": "))[1:-1])
+            for start in range(0, len(obj), _SLICE):
+                if start:
+                    emit(separator)
+                emit(json.dumps(obj[start:start + _SLICE], separators=(separator, ": "))[1:-1])
         else:
             for i, item in enumerate(obj):
                 if i:
-                    chunks.append("," + inner)
-                _layout(item, inner, chunks)
-        chunks.append(newline + "]")
+                    emit(separator)
+                _layout(item, inner, emit)
+        emit(newline + "]")
     elif isinstance(obj, dict) and obj:
         separator = "{" + inner
         for key, value in sorted(obj.items()):
-            chunks.append(separator + _json_key(key) + ": ")
-            _layout(value, inner, chunks)
+            emit(separator + _json_key(key) + ": ")
+            _layout(value, inner, emit)
             separator = "," + inner
-        chunks.append(newline + "}")
+        emit(newline + "}")
     else:
-        chunks.append(json.dumps(obj))
+        emit(json.dumps(obj))
 
 
 def _json_key(key) -> str:
@@ -179,25 +210,53 @@ def _json_key(key) -> str:
 
 
 def _write_report(path: str, report: dict, quiet: bool):
-    _write_output(path, _pretty(report) + "\n", quiet)
+    """Write ``_pretty(report)`` and a newline as ``_layout`` lays it out:
+    its chunks are gathered into batches of about ``_BATCH`` characters, and
+    each batch goes to the file in one ``write``, so the whole text is never
+    held at once and the number of writes stays small."""
+
+    def fill(handle):
+        batch, size = [], 0
+
+        def emit(chunk):
+            nonlocal size
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _BATCH:
+                handle.write("".join(batch))
+                batch.clear()
+                size = 0
+
+        _layout(report, "\n", emit)
+        batch.append("\n")
+        handle.write("".join(batch))
+
+    _write_output(path, fill, quiet)
 
 
 def cmd_decompose(args) -> int:
-    kind, (obj_s, digest_s), (obj_t, digest_t) = _load_pair(args.s_path, args.t_path)
+    kind, (obj_s, digest_s), (obj_t, digest_t) = _load_pair(args.s_path, args.t_path, hashed=True)
     started = time.perf_counter()
+    if kind == "functional":
+        raise ValidationError("decompose expects matrix or sequence inputs, not functionals")
+    parse = psd_from_json if kind == "matrix" else sequence_from_json
+    # each decoded file is dropped once parsed, so the operand is the one
+    # copy of it the request holds
+    s = parse(obj_s)
+    del obj_s
+    t = parse(obj_t)
+    del obj_t
     if kind == "matrix":
-        s, t = psd_from_json(obj_s), psd_from_json(obj_t)
         dec = decompose(s, t)
         steps = dec.trace_of_iteration.steps
         body = {
-            "ac": matrix_to_json(dec.ac),
-            "sing": matrix_to_json(dec.sing),
+            "ac": _matrix_grids(dec.ac),
+            "sing": _matrix_grids(dec.sing),
             "unique": dec.uniqueness.unique,
             "c": _json_number(dec.uniqueness.c),
             "iterations": [{"k": step.k, "gap": step.gap} for step in steps],
         }
-    elif kind == "sequence":
-        s, t = sequence_from_json(obj_s), sequence_from_json(obj_t)
+    else:
         split = _diag_split(s, t)
         body = {
             "ac": sequence_to_json(split.ac),
@@ -206,8 +265,6 @@ def cmd_decompose(args) -> int:
             "c": _json_number(split.certificate.constant()),
             "iterations": [],
         }
-    else:
-        raise ValidationError("decompose expects matrix or sequence inputs, not functionals")
     report = {
         "inputs": {"s": _echo(s, kind, digest_s), "t": _echo(t, kind, digest_t)},
         "tolerances": {"conv_tol": CONV_TOL, "psd_tol": PSD_TOL, "rank_cutoff": RANK_CUTOFF},
@@ -230,18 +287,22 @@ def _as_functional(obj) -> NormalFunctional:
 def cmd_check_unique(args) -> int:
     obj_g, _ = _load_json(args.g_path)
     obj_f, _ = _load_json(args.f_path)
+    # each decoded file is dropped once parsed, as in cmd_decompose
     g = _as_functional(obj_g)
+    del obj_g
     f = _as_functional(obj_f)
+    del obj_f
     cert = functional_uniqueness(g, f)
     print(json.dumps({"unique": cert.unique, "c": _json_number(cert.c)}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_counterexample(args) -> int:
-    obj, digest = _load_json(args.lambda_path)
+    obj, digest = _load_json(args.lambda_path, hashed=True)
     if _sniff_kind(obj) != "sequence":
         raise ValidationError("counterexample input must be a sequence JSON")
     lam = sequence_from_json(obj)
+    _check_at_most("horizon", args.truncate_horizon, MAX_HORIZON)
     mu, certificate = _verified_companion(lam, args.truncate_horizon)
     report = {
         "inputs": {"lambda": _echo(lam, "sequence", digest)},
@@ -256,20 +317,30 @@ def cmd_counterexample(args) -> int:
 
 def cmd_converge_report(args) -> int:
     kind, (obj_s, _), (obj_t, _) = _load_pair(args.s_path, args.t_path)
-    if kind == "matrix":
-        s, t = psd_from_json(obj_s), psd_from_json(obj_t)
-    elif kind == "sequence":
-        s = truncate_to_matrix(sequence_from_json(obj_s), args.truncate)
-        t = truncate_to_matrix(sequence_from_json(obj_t), args.truncate)
-    else:
+    if kind == "functional":
         raise ValidationError("converge-report expects matrix or sequence inputs")
+    if kind == "matrix":
+        parse = psd_from_json
+    else:
+        _check_at_most("truncation size", args.truncate, MAX_TRUNCATE)
+
+        def parse(obj):
+            return truncate_to_matrix(sequence_from_json(obj), args.truncate)
+
+    # each decoded file is dropped once parsed, as in cmd_decompose
+    s = parse(obj_s)
+    del obj_s
+    t = parse(obj_t)
+    del obj_t
     _, trace = ac_part_iterative(s, t)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["k", "n", "gap_trace", "c_bound"])
-    for step in trace.steps:
-        writer.writerow([step.k, 2**step.k, repr(step.gap), repr(step.c_bound)])
-    _write_output(args.csv_path, buffer.getvalue(), args.quiet)
+
+    def fill(handle):
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["k", "n", "gap_trace", "c_bound"])
+        for step in trace.steps:
+            writer.writerow([step.k, 2**step.k, repr(step.gap), repr(step.c_bound)])
+
+    _write_output(args.csv_path, fill, args.quiet)
     return EXIT_OK
 
 
@@ -280,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "uniqueness checks and counterexample construction.",
     )
     parser.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE,
-                        help="sequence-to-matrix truncation horizon")
+                        help=f"sequence-to-matrix truncation size, at most {MAX_TRUNCATE}")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -300,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("lambda_path")
     p.add_argument("out_path")
     p.add_argument("--horizon", dest="truncate_horizon", type=int, default=10_000,
-                   help="materialization horizon for the constructed sequence")
+                   help="materialization horizon for the constructed sequence, "
+                   f"at most {MAX_HORIZON}")
     p.set_defaults(handler=cmd_counterexample)
 
     p = commands.add_parser("converge-report",

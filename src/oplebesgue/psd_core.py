@@ -396,8 +396,15 @@ def psd_from_json(obj) -> PsdMatrix:
 
 
 def matrix_to_json(matrix) -> dict:
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in _matrix_grids(matrix).items()}
+
+
+def _matrix_grids(matrix) -> dict:
+    """``matrix_to_json`` with its grids left as float arrays (views of the
+    matrix where it is complex), for a writer that lays them out row by row."""
     arr = _as_array(matrix)
-    out = {"dim": int(arr.shape[0]), "real": arr.real.tolist()}
+    out = {"dim": int(arr.shape[0]), "real": arr.real}
     if np.any(arr.imag != 0.0):
-        out["imag"] = arr.imag.tolist()
+        out["imag"] = arr.imag
     return out

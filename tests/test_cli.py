@@ -1,12 +1,15 @@
+import gc
+import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oplebesgue import lebesgue, psd_from_json
+from oplebesgue import cli, diagonal, lebesgue, psd_from_json, truncate_to_matrix
 from oplebesgue.cli import main
 from conftest import graded_panel, structured_pair
 
@@ -399,6 +402,114 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOptionMaxima:
+    """``--truncate`` and ``--horizon`` past their supported maxima (2048 and
+    10^6) are invalid input, rejected before the builder they size is called;
+    at the maximum the builder is called with it.  The spies build small, so
+    no test allocates what a maximum asks for."""
+
+    def test_truncate(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        def spy(x, n):
+            sizes.append(n)
+            if n > 2048:
+                raise AssertionError(f"a {n} x {n} operand was built")
+            return truncate_to_matrix(x, 4)
+
+        monkeypatch.setattr(cli, "truncate_to_matrix", spy)
+        argv = ["converge-report", DATA / "s_seq.json", DATA / "t_seq.json", tmp_path / "trace.csv"]
+        code, _, err = run_cli(["--quiet", "--truncate", 2049, *argv], capsys)
+        assert_invalid(code, err, "truncation size must be <= 2048, got 2049")
+        assert sizes == [] and list(tmp_path.iterdir()) == []
+        assert run_cli(["--quiet", "--truncate", 2048, *argv], capsys)[0] == 0
+        assert sizes == [2048, 2048]
+
+    def test_horizon(self, tmp_path, capsys, monkeypatch):
+        horizons = []
+        build = diagonal.construct_unbounded_ratio
+
+        def spy(lam, horizon):
+            horizons.append(horizon)
+            if horizon > 10**6:
+                raise AssertionError(f"a companion of {horizon} entries was built")
+            return build(lam, 12)
+
+        monkeypatch.setattr(diagonal, "construct_unbounded_ratio", spy)
+        argv = ["counterexample", DATA / "lam_half.json", tmp_path / "ce.json", "--horizon"]
+        code, _, err = run_cli(["--quiet", *argv, 10**6 + 1], capsys)
+        assert_invalid(code, err, "horizon must be <= 1000000, got 1000001")
+        assert horizons == [] and list(tmp_path.iterdir()) == []
+        assert run_cli(["--quiet", *argv, 10**6], capsys)[0] == 0
+        assert horizons == [10**6]
+
+
+class TestDigests:
+    @pytest.mark.parametrize("command, hashed", [
+        (["decompose", DATA / "s_ones.json", DATA / "t_diag10.json", "out"], 2),
+        (["counterexample", DATA / "lam_half.json", "out", "--horizon", "12"], 1),
+        (["check-unique", DATA / "s_ones.json", DATA / "t_diag10.json"], 0),
+        (["converge-report", DATA / "s_ones.json", DATA / "t_diag10.json", "out"], 0),
+    ], ids=["decompose", "counterexample", "check-unique", "converge-report"])
+    def test_only_echoed_inputs_are_hashed(self, tmp_path, capsys, monkeypatch, command, hashed):
+        payloads = []
+
+        class Hashlib:
+            @staticmethod
+            def sha256(payload):
+                payloads.append(payload)
+                return hashlib.sha256(payload)
+
+        monkeypatch.setattr(cli, "hashlib", Hashlib)
+        argv = [tmp_path / "o" if arg == "out" else arg for arg in command]
+        assert run_cli(["--quiet", *argv], capsys)[0] == 0
+        assert len(payloads) == hashed
+
+
+class TestOneCopyPerRequest:
+    """A request holds one working copy of its operands: each decoded file is
+    dropped once parsed, and the report is written in batches as it is laid
+    out.  Each bound sits midway between the traced peak of a writer that kept
+    the decoded files and the whole report text alive (10.5 MB and 16.1 MB)
+    and that of this one (4.7 MB and 8.3 MB)."""
+
+    @staticmethod
+    def traced_peak(argv):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main([str(a) for a in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_complex_matrix_decompose(self, tmp_path):
+        paths = [tmp_path / "s.json", tmp_path / "t.json"]
+        for path, a in zip(paths, structured_pair("generic", 128, 0)):
+            _write_matrix(path, a)
+        peak = self.traced_peak(["--quiet", "decompose", *paths, tmp_path / "r.json"])
+        assert peak < 7.6e6, f"traced peak {peak / 1e6:.2f} MB"
+
+    def test_long_sequence_decompose(self, tmp_path):
+        # a 100 000-entry companion of a gapped base with tail ratio 0.999
+        rng = np.random.default_rng(0)
+        size, r = 100_000, 0.999
+        prefix = rng.uniform(0.05, 1.0, 256)
+        prefix[rng.random(256) < 0.25] = 0.0
+        base = np.concatenate([prefix, 0.5 * r ** np.arange(1, size - 255)])
+        companion = base * rng.uniform(0.5, 2.0, size)
+        companion[:256][prefix == 0.0] = 0.5
+        s_path, t_path = tmp_path / "s.json", tmp_path / "t.json"
+        s_path.write_text(json.dumps({"prefix": companion.tolist(), "tail": {
+            "type": "geometric", "a": 0.35 * r ** (size - 256), "r": r}}))
+        t_path.write_text(json.dumps({"prefix": prefix.tolist(), "tail": {
+            "type": "geometric", "a": 0.5, "r": r}}))
+        peak = self.traced_peak(["--quiet", "decompose", s_path, t_path, tmp_path / "r.json"])
+        assert peak < 12.2e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 class TestAtomicWrite:
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         from oplebesgue import cli
@@ -425,7 +536,8 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(cli, "open", FullDisk, raising=False)
         with pytest.raises(OSError, match="No space left"):
-            cli._write_atomic(str(target), "new report\n", quiet=True)
+            cli._write_atomic(str(target), lambda handle: handle.write("new report\n"),
+                              quiet=True)
         assert list(tmp_path.glob("*.tmp-*")) == []
         assert target.read_text() == "previous report\n"
 

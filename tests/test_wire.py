@@ -32,6 +32,17 @@ def _stdlib(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _as_lists(obj):
+    """``obj`` with every numpy array in it replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(item) for item in obj]
+    return obj
+
+
 @pytest.fixture
 def captured_reports(monkeypatch):
     """Every report object the CLI writes, alongside the bytes it wrote."""
@@ -62,8 +73,8 @@ class TestWriterMatchesStdlib:
             paths.append(path)
         assert main(["--quiet", "decompose", *map(str, paths), str(tmp_path / "r.json")]) == 0
         (report, written), = captured_reports
-        assert "imag" in report["decomposition"]["ac"]
-        assert written == _stdlib(report) + "\n"
+        assert isinstance(report["decomposition"]["ac"]["imag"], np.ndarray)
+        assert written == _stdlib(_as_lists(report)) + "\n"
 
     def test_sequence_and_counterexample_reports(self, tmp_path, captured_reports, capsys):
         lam_path, built = DATA / "lam_half.json", tmp_path / "ce.json"
@@ -95,6 +106,82 @@ class TestWriterMatchesStdlib:
             _stdlib(obj)
         with pytest.raises(TypeError, match=re.escape(str(stdlib.value))):
             _pretty(obj)
+
+
+class TestStreamedWriter:
+    """The report writer lays out float arrays row by row, hands long number
+    lists to the C encoder in slices, and writes the text in batches."""
+
+    @pytest.mark.parametrize("arr", [
+        np.array([[-0.0, math.nan], [math.inf, -math.inf]]),
+        np.array([[1e-320, -1.5], [2.0**70, 0.1]]),
+        np.array([[0.25]]),
+        np.zeros((0, 0)), np.zeros((2, 0)), np.zeros(0),
+        np.array([-0.0, 1e-320, math.nan]),
+        np.arange(12.0).reshape(3, 4).T,
+        (np.arange(6.0) + 1j * np.arange(6.0)[::-1]).reshape(2, 3).imag,
+    ], ids=["signed", "tiny-huge", "1x1", "0x0", "2x0", "empty-1d", "1d", "transposed",
+            "imag-view"])
+    def test_arrays_match_stdlib_of_their_lists(self, arr):
+        assert _pretty(arr) == _stdlib(arr.tolist())
+        assert _pretty({"grid": arr, "n": 1}) == _stdlib({"grid": arr.tolist(), "n": 1})
+
+    def test_number_list_past_two_slices_matches_stdlib(self):
+        values = [float(i) / 7 if i % 3 else i for i in range(2 * cli._SLICE + 1)]
+        values[cli._SLICE - 1:cli._SLICE + 2] = [-0.0, math.nan, -math.inf]
+        assert _pretty(values) == _stdlib(values)
+        assert _pretty({"v": values}) == _stdlib({"v": values})
+
+    @staticmethod
+    def report():
+        return {"ac": np.arange(400.0).reshape(20, 20) / 3, "prefix": [0.5] * 300, "unique": True}
+
+    @staticmethod
+    def recording_open(writes, fail_after=None):
+        """An ``open`` whose handles record the size of each write, and fail
+        with a full disk once ``fail_after`` writes are stored."""
+        real_open = open
+
+        class Handle:
+            def __init__(self, *args, **kwargs):
+                self.handle = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                if len(writes) == fail_after:
+                    raise OSError(28, "No space left on device")
+                writes.append(len(data))
+                return self.handle.write(data)
+
+        return Handle
+
+    def test_text_goes_out_in_batches(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(cli, "_BATCH", 1000)
+        monkeypatch.setattr(cli, "open", self.recording_open(writes), raising=False)
+        target = tmp_path / "r.json"
+        cli._write_report(str(target), self.report(), quiet=True)
+        text = _stdlib(_as_lists(self.report())) + "\n"
+        assert target.read_text(encoding="utf-8") == text
+        assert len(writes) > 2 and all(size >= 1000 for size in writes[:-1])
+        assert len(writes) <= len(text) // 1000 + 1
+
+    def test_failure_after_the_first_batch_leaves_the_old_report(self, tmp_path, monkeypatch):
+        writes = []
+        target = tmp_path / "r.json"
+        target.write_text("previous report\n")
+        monkeypatch.setattr(cli, "_BATCH", 1000)
+        monkeypatch.setattr(cli, "open", self.recording_open(writes, fail_after=1), raising=False)
+        with pytest.raises(ValidationError, match=f"cannot write {re.escape(str(target))}: No space"):
+            cli._write_report(str(target), self.report(), quiet=True)
+        assert writes and writes[0] >= 1000
+        assert target.read_text() == "previous report\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json"]
 
 
 _SCALARS = st.one_of(
