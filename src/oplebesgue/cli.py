@@ -46,10 +46,8 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_TRUNCATE = 32
-# the supported option maxima: --truncate sizes one dense n x n operand and
-# its n x n eigh, --horizon the entries of the constructed sequence
+# the supported maximum of --truncate, which sizes a dense n x n operand and its eigh
 MAX_TRUNCATE = 2048
-MAX_HORIZON = 1_000_000
 
 # entries of a flat number list per C-encoder call, and characters of report
 # text gathered per write to the output file: a few writes per MB of report,
@@ -71,11 +69,14 @@ def _load_json(path: str, hashed: bool = False):
             payload = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    digest = hashlib.sha256(payload).hexdigest() if hashed else None
     try:
-        obj = json.loads(payload, parse_int=_json_int)
+        # decoded as json.loads decodes bytes, which are dropped before the object is built
+        text = payload.decode(json.detect_encoding(payload), "surrogatepass")
+        del payload
+        return json.loads(text, parse_int=_json_int), digest
     except ValueError as exc:  # malformed, or an integer no float can hold
         raise ValidationError(f"cannot read {path} as JSON: {exc}") from exc
-    return obj, hashlib.sha256(payload).hexdigest() if hashed else None
 
 
 def _json_int(digits: str) -> int:
@@ -113,11 +114,6 @@ def _echo(obj, kind: str, digest: str) -> dict:
         "prefix_len": obj.prefix_len,
         "infinite_support": obj.has_infinite_support,
     }
-
-
-def _check_at_most(what: str, value: int, maximum: int):
-    if value > maximum:
-        raise ValidationError(f"{what} must be <= {maximum}, got {value}")
 
 
 def _json_number(value):
@@ -302,8 +298,7 @@ def cmd_counterexample(args) -> int:
     if _sniff_kind(obj) != "sequence":
         raise ValidationError("counterexample input must be a sequence JSON")
     lam = sequence_from_json(obj)
-    _check_at_most("horizon", args.truncate_horizon, MAX_HORIZON)
-    mu, certificate = _verified_companion(lam, args.truncate_horizon)
+    mu, certificate = _verified_companion(lam)
     report = {
         "inputs": {"lambda": _echo(lam, "sequence", digest)},
         "t": sequence_to_json(lam),
@@ -322,7 +317,8 @@ def cmd_converge_report(args) -> int:
     if kind == "matrix":
         parse = psd_from_json
     else:
-        _check_at_most("truncation size", args.truncate, MAX_TRUNCATE)
+        if args.truncate > MAX_TRUNCATE:
+            raise ValidationError(f"truncation size must be <= {MAX_TRUNCATE}, got {args.truncate}")
 
         def parse(obj):
             return truncate_to_matrix(sequence_from_json(obj), args.truncate)
@@ -370,9 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="build the non-unique pair over an infinite-support sequence")
     p.add_argument("lambda_path")
     p.add_argument("out_path")
-    p.add_argument("--horizon", dest="truncate_horizon", type=int, default=10_000,
-                   help="materialization horizon for the constructed sequence, "
-                   f"at most {MAX_HORIZON}")
+    # accepted and ignored: the companion is built in closed form, with no horizon
+    p.add_argument("--horizon", help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_counterexample)
 
     p = commands.add_parser("converge-report",

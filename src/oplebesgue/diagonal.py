@@ -21,12 +21,10 @@ tail the support is known in closed form down to 2^-1000, so the scalar tail
 rule runs only past it; and the base's tail values are built for the ratio
 only when the tails leave it bounded.
 
-Floating point imposes a representation boundary: materialized prefix values
-stop at a safety floor (well above the float64 underflow threshold) and the
-tail beyond the horizon is a geometric upper envelope with ratio
-(1 + r)/2 > r, so that the unbounded entrywise ratio survives in the stored
-parameters and every certificate witness can be checked by direct evaluation,
-in log scale, without underflow.
+Ratios and witnesses are evaluated in log scale, so they stay checkable where
+the values underflow float64.  The counterexample companion is the base's own
+prefix and a slower geometric tail: its ratio grows in closed form, and it is
+no longer than the base.
 """
 
 from __future__ import annotations
@@ -34,20 +32,13 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError, ConsistencyError
 from .psd_core import PsdMatrix
-
-# Materialized prefix values are kept above this floor so products and ratios
-# of neighbouring entries stay inside normal float64 range.
-VALUE_FLOOR = 1e-280
-
-# Default number of terms materialized by the unbounded-ratio construction.
-DEFAULT_HORIZON = 10_000
 
 # log of the largest float64: exp overflows past it.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -213,18 +204,17 @@ def _computed_sequence(prefix: Tuple[float, ...], tail: Optional[GeometricTail])
 class RatioCertificate:
     """Machine-checkable verdict on sup of entrywise ratios numerator/denominator.
 
-    Bounded: carries the supremum ``c``.  Unbounded: ``witness_for`` maps any
-    bound B to an index where the ratio provably reaches B, either an override
-    index recorded by the construction (ratio there equals its multiplier) or,
-    past the materialized prefix, an index computed from the closed-form tail
-    growth.  Every witness is verifiable by direct evaluation via ``ratio_at``.
+    Bounded: carries the supremum ``c``.  Unbounded: the numerator's tail
+    decays slower than the denominator's, and ``witness_for`` maps any bound B
+    to the first index past both prefixes where the ratio reaches B, computed
+    from the closed-form growth of the two tails.  Every witness is verifiable
+    by direct evaluation via ``ratio_at``.
     """
 
     bounded: bool
     c: Optional[float]
     numerator: Optional[L1Sequence] = None
     denominator: Optional[L1Sequence] = None
-    overrides: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
 
     def constant(self) -> Optional[float]:
         """The supremum c of a bounded certificate, None for an unbounded one.
@@ -243,31 +233,43 @@ class RatioCertificate:
             )
         return self.c
 
+    def _growth(self) -> float:
+        """log(r_num / r_den), the step of the log ratio between the tails, from
+        the ratios' difference: positive whenever r_num > r_den, also where
+        log r_num and log r_den round to the same float."""
+        r_num, r_den = self.numerator.tail.r, self.denominator.tail.r
+        return math.log1p((r_num - r_den) / r_den)
+
+    def _log_ratio(self, n: int) -> float:
+        """log of the ratio at index n.  Past the first index ``start`` beyond
+        both prefixes it is the one at ``start`` plus (n - start) times the
+        growth, which, rounding included, never falls as n grows."""
+        num, den = self.numerator, self.denominator
+        start = max(num.prefix_len, den.prefix_len) + 1
+        if n <= start or num.tail is None or den.tail is None:
+            return num.log_value_at(n) - den.log_value_at(n)
+        return self._log_ratio(start) + (n - start) * self._growth()
+
     def ratio_at(self, n: int) -> float:
         """Entrywise ratio at index n, evaluated in log scale."""
-        log_ratio = self.numerator.log_value_at(n) - self.denominator.log_value_at(n)
-        return _exp_or_inf(log_ratio)
+        return _exp_or_inf(self._log_ratio(n))
 
     def witness_for(self, bound: float) -> int:
-        """An index n with numerator_n / denominator_n >= bound."""
+        """The first index past both prefixes with numerator_n / denominator_n >= bound."""
         if self.bounded:
             raise ValidationError("bounded ratio certificate has no unbounded witnesses")
         if bound <= 0:
             raise ValidationError(f"witness bound must be positive, got {bound!r}")
-        k = math.ceil(bound)
-        if self.overrides and k <= len(self.overrides):
-            index = self.overrides[k - 1][0]
-            if self.ratio_at(index) >= bound:
-                return index
         num, den = self.numerator, self.denominator
         if num.tail is None or den.tail is None or num.tail.r <= den.tail.r:
             raise ValidationError("certificate carries no unbounded tail growth")
-        growth = math.log(num.tail.r / den.tail.r)
         start = max(num.prefix_len, den.prefix_len) + 1
-        log_start = num.log_value_at(start) - den.log_value_at(start)
-        n = start + max(0, math.ceil((math.log(bound) - log_start) / growth))
+        n = start + max(0, math.ceil((math.log(bound) - self._log_ratio(start)) / self._growth()))
+        # the closed-form estimate can miss by the rounding of its quotient
         while self.ratio_at(n) < bound:
             n += 1
+        while n > start and self.ratio_at(n - 1) >= bound:
+            n -= 1
         return n
 
     def witness_ladder(self, bounds) -> Tuple[Tuple[float, int], ...]:
@@ -394,61 +396,42 @@ def diag_uniqueness(s: L1Sequence, t: L1Sequence) -> Tuple[bool, RatioCertificat
     return certificate.bounded, certificate
 
 
-def construct_unbounded_ratio(
-    lam: L1Sequence, horizon: int = DEFAULT_HORIZON
-) -> Tuple[L1Sequence, RatioCertificate]:
+def construct_unbounded_ratio(lam: L1Sequence) -> Tuple[L1Sequence, RatioCertificate]:
     """A summable companion of ``lam`` with unbounded entrywise ratios.
 
-    The base is the damped sequence lam_n 2^-n.  Walking the indices once, the
-    k-th override lands on the first index where lam_n <= 2^-k and sets
-    mu_n = k lam_n there, so the override mass is at most sum k 2^-k = 2 and
-    the ratio at the k-th override equals k.  Materialization stops at
-    ``horizon`` terms or at the value floor, whichever is first; beyond that
-    the tail is a geometric upper envelope with ratio (1 + r)/2 > r, anchored
-    at the next value of lam, so the unbounded ratio growth stays encoded in
-    the stored tail parameters.
+    The companion is lam's prefix followed by the tail a' r'^j, where (a, r)
+    is lam's tail and r' = (1 + r)/2 > r, so its ratio to lam past the prefix
+    is (a'/a) (r'/r)^j, unbounded in closed form.  a' is a, halved (exactly)
+    until the companion's sum fits a float64, which holds once a' <= a r / (1 + r).
 
     Requires infinite support: with finite support every companion is
-    dominated and every decomposition against lam is unique.
+    dominated and every decomposition against lam is unique.  An r one float64
+    below 1 leaves no float64 for r' and raises ConsistencyError.
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
     if lam.tail is None:
         raise ValidationError(
             "sequence has finite support: every decomposition relative to it is "
             "unique and no unbounded-ratio companion exists"
         )
-    n_pref, tail = lam.prefix_len, lam.tail
-    reach = 0
-    if tail.a > VALUE_FLOOR:
-        reach = int(math.floor(math.log(VALUE_FLOOR / tail.a) / math.log(tail.r)))
-    # the horizon caps how much of the tail is materialized; the prefix is
-    # already explicit and the envelope must anchor on a genuine tail value
-    upto = n_pref + min(horizon, max(reach, 0))
-    vals = lam.values(upto)
-    body = vals * np.power(2.0, -np.arange(1, upto + 1, dtype=float))
-    overrides = []
-    k, bound = 1, 0.5
-    for idx, v in enumerate(vals.tolist(), 1):
-        if 0 < v <= bound:
-            body[idx - 1] = k * v
-            overrides.append((idx, k))
-            k += 1
-            bound = 2.0 ** -k
-    anchor = lam.value_at(upto + 1)
-    if anchor <= 0.0:
-        raise ValidationError("tail values underflow float64 before any term is representable")
-    envelope_r = (1.0 + tail.r) / 2.0
-    mu = _computed_sequence(tuple(body.tolist()), GeometricTail(anchor / envelope_r, envelope_r))
-    certificate = RatioCertificate(bounded=False, c=None, numerator=mu, denominator=lam,
-                                   overrides=tuple(overrides))
-    return mu, certificate
+    r = lam.tail.r
+    slower = (1.0 + r) / 2.0
+    if not slower < 1.0:
+        raise ConsistencyError(
+            f"no float64 lies strictly between the tail ratio r = {r!r} and 1, "
+            "so no slower geometric tail exists",
+            details={"stage": "counterexample", "r": r},
+        )
+    head, scale = math.fsum(lam.prefix), lam.tail.a
+    while math.isinf(head + scale * slower / (1.0 - slower)):
+        scale /= 2.0
+    mu = _computed_sequence(lam.prefix, GeometricTail(scale, slower))
+    return mu, RatioCertificate(bounded=False, c=None, numerator=mu, denominator=lam)
 
 
-def _verified_companion(lam: L1Sequence, horizon: int) -> Tuple[L1Sequence, RatioCertificate]:
+def _verified_companion(lam: L1Sequence) -> Tuple[L1Sequence, RatioCertificate]:
     """``construct_unbounded_ratio`` with the check that the pair is not unique:
     the companion has no singular part against lam and does not certify as unique."""
-    mu, certificate = construct_unbounded_ratio(lam, horizon)
+    mu, certificate = construct_unbounded_ratio(lam)
     split = _diag_split(mu, lam)
     if split.sing.total() != 0.0:
         raise ConsistencyError("constructed companion has a singular part against its base")
@@ -457,15 +440,13 @@ def _verified_companion(lam: L1Sequence, horizon: int) -> Tuple[L1Sequence, Rati
     return mu, certificate
 
 
-def counterexample_pair(
-    lam: L1Sequence, horizon: int = DEFAULT_HORIZON
-) -> Tuple[L1Sequence, L1Sequence]:
+def counterexample_pair(lam: L1Sequence) -> Tuple[L1Sequence, L1Sequence]:
     """A pair (t, s) = (lam, companion) whose decomposition is not unique.
 
     Verified before returning: s has no singular part relative to t, yet s is
     not t-dominated, so uniqueness fails by the domination criterion.
     """
-    mu, _ = _verified_companion(lam, horizon)
+    mu, _ = _verified_companion(lam)
     return lam, mu
 
 

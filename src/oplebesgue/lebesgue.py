@@ -25,7 +25,7 @@ independent ways, and certifies the split before returning it:
 singularity of the remainder and range containment of the regular part, and
 certifies uniqueness: the split is unique iff the regular part is dominated
 by T.  In this finite-dimensional model that always holds -- the certificate
-still performs the check instead of assuming it.
+still performs the check, and a regular part that fails it raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import ConsistencyError, DimensionMismatchError, ValidationError
 from .parallel_sum import _ldexp, _ScaledParallelSums, is_singular_pair
 from .psd_core import (
     CONV_TOL,
+    PSD_TOL,
     PsdMatrix,
     _computed_psd,
     _hermitian_trace_norm,
@@ -132,19 +133,37 @@ def _domination_constant(candidate: np.ndarray, t: PsdMatrix) -> float:
     exactly zero candidate has c = 0 against every T."""
     if not np.any(candidate):
         return 0.0
-    k = t.rank()
-    if k == 0:
+    if t.rank() == 0:
         return math.inf
     framed_candidate, framed_t, power = _frames(candidate, t)
-    inv_root = framed_t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_t.eigenvalues[:k]))
-    compressed = inv_root.conj().T @ framed_candidate @ inv_root
-    framed = max(float(np.linalg.eigvalsh(compressed / 2 + compressed.conj().T / 2)[-1]), 0.0)
+    framed = _framed_constant(framed_candidate, framed_t)
     if math.isinf(_verified_bound(framed_candidate, framed, framed_t)):
         return math.inf
     if math.isinf(c := _ldexp(framed, power)):
         raise ConsistencyError(f"domination constant {framed:.3e} * 2^{power} exceeds float64",
                                details={"stage": "domination", "framed": framed, "power": power})
     return c
+
+
+def _framed_constant(framed_candidate: np.ndarray, framed_t: PsdMatrix) -> float:
+    """The candidate c in the frames: the largest eigenvalue of the candidate
+    compressed by sqrt(T^+) to the range of T."""
+    k = framed_t.rank()
+    inv_root = framed_t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_t.eigenvalues[:k]))
+    compressed = inv_root.conj().T @ framed_candidate @ inv_root
+    return max(float(np.linalg.eigvalsh(compressed / 2 + compressed.conj().T / 2)[-1]), 0.0)
+
+
+def _domination_miss(candidate: np.ndarray, t: PsdMatrix) -> dict:
+    """What a failed domination check measured, on the failure path only: the
+    candidate c, and the smallest eigenvalue of c T - candidate against the band
+    -PSD_TOL lambda_max(c T) of ``loewner_leq``, in ``_frames`` scaled back."""
+    framed_candidate, framed_t, power = _frames(candidate, t)
+    framed = _framed_constant(framed_candidate, framed_t)
+    unit = _unit(candidate)
+    low = float(np.linalg.eigvalsh(framed * framed_t.array - framed_candidate)[0])
+    return {"stage": "domination", "c": _ldexp(framed, power), "min_eigenvalue": low * unit,
+            "band": -PSD_TOL * framed * framed_t.lam_max * unit}
 
 
 def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix) -> float:
@@ -244,7 +263,8 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
     kernel-projection form, so a singular pair gives ac = 0 and a full-rank T
     gives sing = 0 exactly; additivity is measured, and every certificate is
     verified before returning.  The uniqueness certificate carries the
-    domination constant of the regular part.
+    domination constant of the regular part, which finite rank forces to
+    exist: a failed Loewner check raises ConsistencyError (stage domination).
     """
     iterative, record = ac_part_iterative(s, t)
     ac_factor, sing_factor = _closed_factors(s, t)
@@ -255,7 +275,7 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
         raise ConsistencyError(
             f"independent computations of the regular part disagree "
             f"(relative trace-norm gap {drift:.3e})",
-            details={"iterative": iterative, "closed": ac},
+            details={"stage": "oracle", "iterative": iterative, "closed": ac},
         )
     sing = _computed_psd(sing_factor, s.lam_max)
     residual = _hermitian_trace_norm(ac.array + sing.array - s.array) / scale
@@ -265,13 +285,15 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
         raise ConsistencyError("computed singular part is not singular to the reference operator")
     if not range_contained(ac, t):
         raise ConsistencyError("regular part leaks outside the range of the reference operator")
-    c = _domination_constant(ac.array, t)
-    unique = math.isfinite(c)
-    witness = None if unique else "regular part admits no finite domination constant"
-    uniqueness = UniquenessCertificate(unique=unique, c=c, witness=witness)
-    return LebesgueDecomposition(
-        ac=ac, sing=sing, trace_of_iteration=record, uniqueness=uniqueness
-    )
+    # finite rank forces domination once the ranges are contained, so a
+    # missing constant here is a numerical failure, not a non-unique answer
+    if math.isinf(c := _domination_constant(ac.array, t)):
+        miss = _domination_miss(ac.array, t)
+        raise ConsistencyError("regular part is not dominated although its range is contained: "
+                               "c = {c:.3e}, smallest eigenvalue of c T - ac {min_eigenvalue:.3e} "
+                               "against the band {band:.3e}".format(**miss), details=miss)
+    return LebesgueDecomposition(ac=ac, sing=sing, trace_of_iteration=record,
+                                 uniqueness=UniquenessCertificate(unique=True, c=c))
 
 
 def is_dominated(s: PsdMatrix, t: PsdMatrix) -> Optional[float]:

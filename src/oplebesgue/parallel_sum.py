@@ -138,8 +138,8 @@ class _ScaledParallelSums:
             raise ConsistencyError(
                 f"parallel-sum component {worst} is not a PSD term: trace "
                 f"{mass[worst]:.3e} against Cauchy-Schwarz bound {product[worst]:.3e}",
-                details={"component": worst, "trace": float(mass[worst]),
-                         "bound": float(product[worst])},
+                details={"stage": "parallel-sum certificate", "component": worst,
+                         "trace": float(mass[worst]), "bound": float(product[worst])},
             )
         return psd_term & (mass > 0.0) & (a < 1.0)
 

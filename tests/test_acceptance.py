@@ -160,7 +160,7 @@ def test_criterion_5_constructive_witnesses():
     for lam in bases:
         mu, cert = construct_unbounded_ratio(lam)
         total = mu.total()
-        count = mu.prefix_len
+        count = mu.prefix_len + 1
         while mu.sum_beyond(count) > 1e-13 * total:
             count *= 2
         sum_ok = abs(mu.partial_sum(count) + mu.sum_beyond(count) - total) <= 1e-12 * total
@@ -296,9 +296,9 @@ def test_criterion_10_cli_contract(tmp_path, capsys, monkeypatch):
     checks["check-unique golden"] = code == 0 and verdict["unique"] is True
 
     ce = tmp_path / "ce.json"
-    code, _, _ = run(["--quiet", "counterexample", DATA / "lam_half.json", ce, "--horizon", "12"])
+    code, _, _ = run(["--quiet", "counterexample", DATA / "lam_half.json", ce])
     checks["counterexample golden"] = (
-        code == 0 and ce.read_bytes() == (GOLDEN / "counterexample_half_h12.json").read_bytes()
+        code == 0 and ce.read_bytes() == (GOLDEN / "counterexample_half.json").read_bytes()
     )
 
     csv_out = tmp_path / "trace.csv"

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oplebesgue import cli, diagonal, lebesgue, psd_from_json, truncate_to_matrix
+from oplebesgue import cli, lebesgue, psd_from_json, truncate_to_matrix
 from oplebesgue.cli import main
 from conftest import graded_panel, structured_pair
 
@@ -172,6 +173,15 @@ class TestCheckUnique:
         assert code == 0
         assert json.loads(out)["unique"] is True
 
+    def test_tails_one_float64_apart_exit_0(self, tmp_path, capsys):
+        # the reported witnesses of the unbounded ratio are found in closed form
+        s_path, t_path = tmp_path / "s.json", tmp_path / "t.json"
+        for path, r in ((s_path, math.nextafter(1e-300, 1.0)), (t_path, 1e-300)):
+            path.write_text(json.dumps({"prefix": [], "tail": {"type": "geometric", "a": 1.0, "r": r}}))
+        code, out, err = run_cli(["check-unique", s_path, t_path], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"c": None, "unique": False}
+
     def test_non_unique_sequence_pair_still_exits_0(self, tmp_path, capsys):
         built = tmp_path / "pair.json"
         code, _, _ = run_cli(["--quiet", "counterexample", DATA / "lam_half.json", built],
@@ -190,22 +200,55 @@ class TestCheckUnique:
 class TestCounterexample:
     def test_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "ce.json"
-        code, _, _ = run_cli(["--quiet", "counterexample", DATA / "lam_half.json",
-                              out, "--horizon", "12"], capsys)
+        code, _, _ = run_cli(["--quiet", "counterexample", DATA / "lam_half.json", out], capsys)
         assert code == 0
-        assert out.read_bytes() == (GOLDEN / "counterexample_half_h12.json").read_bytes()
+        assert out.read_bytes() == (GOLDEN / "counterexample_half.json").read_bytes()
 
-    def test_weights_are_linear_over_halving(self, tmp_path, capsys):
+    @pytest.mark.parametrize("horizon", ["12", "1000001"])
+    def test_horizon_is_accepted_and_ignored(self, tmp_path, capsys, horizon):
         out = tmp_path / "ce.json"
-        run_cli(["--quiet", "counterexample", DATA / "lam_half.json", out, "--horizon", "12"],
-                capsys)
+        code, _, err = run_cli(["--quiet", "counterexample", DATA / "lam_half.json", out,
+                                "--horizon", horizon], capsys)
+        assert code == 0 and err == ""
+        assert out.read_bytes() == (GOLDEN / "counterexample_half.json").read_bytes()
+
+    def test_companion_is_a_slower_geometric_tail(self, tmp_path, capsys):
+        # over 2^-n the companion is (3/4)^n, so the ratio is (3/2)^n and each
+        # witness is the first n with (3/2)^n >= bound
+        out = tmp_path / "ce.json"
+        run_cli(["--quiet", "counterexample", DATA / "lam_half.json", out], capsys)
         body = json.loads(out.read_text())
-        assert body["s"]["prefix"][:4] == [0.5, 0.5, 0.375, 0.25]
+        assert body["s"] == {"prefix": [], "tail": {"type": "geometric", "a": 1.0, "r": 0.75}}
         assert body["unique"] is False
-        bounds = [w["bound"] for w in body["certificate"]["witnesses"]]
-        assert bounds == [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
-        for witness in body["certificate"]["witnesses"]:
-            assert witness["ratio"] >= witness["bound"]
+        witnesses = body["certificate"]["witnesses"]
+        assert [w["bound"] for w in witnesses] == [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+        for witness in witnesses:
+            n = witness["index"]
+            assert witness["ratio"] == pytest.approx(1.5 ** n, rel=1e-13)
+            assert 1.5 ** n >= witness["bound"]
+            assert n == 1 or 1.5 ** (n - 1) < witness["bound"]
+
+    @pytest.mark.parametrize("a", [1e50, 5e-324], ids=["scale_1e50", "subnormal_scale"])
+    def test_extreme_tail_scale_exits_0(self, tmp_path, capsys, a):
+        lam_path, out = tmp_path / "lam.json", tmp_path / "ce.json"
+        r = 0.9 if a > 1 else 0.5
+        lam_path.write_text(json.dumps({"prefix": [1.0], "tail": {"type": "geometric", "a": a, "r": r}}))
+        code, _, err = run_cli(["--quiet", "counterexample", lam_path, out], capsys)
+        assert code == 0 and err == ""
+        body = json.loads(out.read_text())
+        assert body["s"]["prefix"] == [1.0] and body["s"]["tail"]["r"] == (1.0 + r) / 2.0
+        assert all(w["ratio"] >= w["bound"] for w in body["certificate"]["witnesses"])
+
+    def test_ratio_one_float_below_1_exits_3(self, tmp_path, capsys):
+        # (1 + r)/2 rounds to 1.0: no slower tail exists in float64, a
+        # numerical limit of the construction, not invalid input
+        lam_path, out = tmp_path / "lam.json", tmp_path / "ce.json"
+        r = 1.0 - 2.0 ** -53
+        lam_path.write_text(json.dumps({"prefix": [1.0], "tail": {"type": "geometric", "a": 1.0, "r": r}}))
+        code, _, err = run_cli(["--quiet", "counterexample", lam_path, out], capsys)
+        assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+        assert repr(r) in err and "1.0," not in err
+        assert not out.exists()
 
     def test_finite_support_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["--quiet", "counterexample", DATA / "lam_finite.json",
@@ -230,8 +273,7 @@ class TestSequenceRequestsSplitOnce:
                "tail": {"type": "geometric", "a": 0.1, "r": 0.9}}
         lam_path, built = tmp_path / "lam.json", tmp_path / "ce.json"
         lam_path.write_text(json.dumps(lam))
-        assert run_cli(["--quiet", "counterexample", lam_path, built,
-                        "--horizon", "2000"], capsys)[0] == 0
+        assert run_cli(["--quiet", "counterexample", lam_path, built], capsys)[0] == 0
         mu_path = tmp_path / "mu.json"
         mu_path.write_text(json.dumps(json.loads(built.read_text())["s"]))
         return mu_path, lam_path
@@ -265,8 +307,7 @@ class TestSequenceRequestsSplitOnce:
         argv = {
             "decompose": ["decompose", mu_path, lam_path, tmp_path / "r.json"],
             "check-unique": ["check-unique", mu_path, lam_path],
-            "counterexample": ["counterexample", lam_path, tmp_path / "c.json",
-                               "--horizon", "2000"],
+            "counterexample": ["counterexample", lam_path, tmp_path / "c.json"],
         }[command]
         assert run_cli(["--quiet", *argv], capsys)[0] == 0
         assert counts["split"] == 1 and counts["materialized"] <= 1
@@ -298,7 +339,8 @@ class TestConvergeReport:
         rows = out.read_text().splitlines()[1:]
         bounds = [float(row.split(",")[3]) for row in rows]
         assert all(b > a for a, b in zip(bounds, bounds[1:]))
-        assert bounds[-1] == pytest.approx(32.0, rel=1e-6)
+        # the last approximant's constant nears the ratio (3/2)^32 at index 32
+        assert bounds[-1] == pytest.approx(1.5 ** 32, rel=1e-4)
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         outs = []
@@ -403,10 +445,10 @@ class TestUnwritableOutput:
 
 
 class TestOptionMaxima:
-    """``--truncate`` and ``--horizon`` past their supported maxima (2048 and
-    10^6) are invalid input, rejected before the builder they size is called;
-    at the maximum the builder is called with it.  The spies build small, so
-    no test allocates what a maximum asks for."""
+    """``--truncate`` past its supported maximum, 2048, is invalid input,
+    rejected before the builder it sizes is called; at the maximum the
+    builder is called with it.  The spy builds small, so no test allocates
+    what the maximum asks for."""
 
     def test_truncate(self, tmp_path, capsys, monkeypatch):
         sizes = []
@@ -424,24 +466,6 @@ class TestOptionMaxima:
         assert sizes == [] and list(tmp_path.iterdir()) == []
         assert run_cli(["--quiet", "--truncate", 2048, *argv], capsys)[0] == 0
         assert sizes == [2048, 2048]
-
-    def test_horizon(self, tmp_path, capsys, monkeypatch):
-        horizons = []
-        build = diagonal.construct_unbounded_ratio
-
-        def spy(lam, horizon):
-            horizons.append(horizon)
-            if horizon > 10**6:
-                raise AssertionError(f"a companion of {horizon} entries was built")
-            return build(lam, 12)
-
-        monkeypatch.setattr(diagonal, "construct_unbounded_ratio", spy)
-        argv = ["counterexample", DATA / "lam_half.json", tmp_path / "ce.json", "--horizon"]
-        code, _, err = run_cli(["--quiet", *argv, 10**6 + 1], capsys)
-        assert_invalid(code, err, "horizon must be <= 1000000, got 1000001")
-        assert horizons == [] and list(tmp_path.iterdir()) == []
-        assert run_cli(["--quiet", *argv, 10**6], capsys)[0] == 0
-        assert horizons == [10**6]
 
 
 class TestDigests:
@@ -484,6 +508,25 @@ class TestOneCopyPerRequest:
             tracemalloc.stop()
         assert code == 0
         return peak
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed"])
+    def test_load_json_drops_the_bytes_before_parsing(self, tmp_path, hashed):
+        # a 1.0 MB file of 50 000 floats: the bytes are dropped once decoded,
+        # so they are never held with the object; the bound sits midway
+        # between the traced peak of a loader that parsed the bytes directly
+        # (3.68 MB) and this one (2.66 MB)
+        path = tmp_path / "seq.json"
+        prefix = np.random.default_rng(0).uniform(0.0, 1.0, 50_000).tolist()
+        path.write_text(json.dumps({"prefix": prefix, "tail": None}))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            obj, digest = cli._load_json(str(path), hashed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obj["prefix"] == prefix and (digest is not None) == hashed
+        assert peak < 3.17e6, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_complex_matrix_decompose(self, tmp_path):
         paths = [tmp_path / "s.json", tmp_path / "t.json"]

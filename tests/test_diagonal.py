@@ -4,7 +4,8 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import mpmath
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oplebesgue import (
@@ -128,12 +129,12 @@ class TestDiagDomination:
     def test_self(self):
         assert diag_is_dominated(HALF, HALF) == pytest.approx(1.0)
 
-    def test_linear_over_geometric_is_unbounded(self):
+    def test_slower_tail_over_geometric_is_unbounded(self):
         mu, _ = construct_unbounded_ratio(HALF)
         assert diag_is_dominated(mu, HALF) is None
-        # ratio climbs through the dyadic indices
+        # mu_n = (3/4)^n against 2^-n: the ratio (3/2)^n climbs without bound
         ratios = [mu.value_at(2 ** j) / HALF.value_at(2 ** j) for j in range(1, 6)]
-        assert ratios == pytest.approx([2 ** j for j in range(1, 6)])
+        assert ratios == pytest.approx([1.5 ** 2 ** j for j in range(1, 6)])
 
     def test_faster_decay_is_dominated(self):
         # mu_n = 4^-n against 2^-n: ratio 2^-n peaks at the first index
@@ -189,24 +190,23 @@ class TestDiagUniqueness:
         unique, cert = diag_uniqueness(HALF, HALF)
         assert unique and cert.c == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("r", [1e-300, 0.5])
+    def test_tails_one_float64_apart_have_minimal_witnesses(self, r):
+        # at r = 1e-300, log r_s and log r_t round to the same float, yet the
+        # ratio (r_s / r_t)^n grows: its step is read from r_s - r_t
+        s = L1Sequence((), GeometricTail(1.0, math.nextafter(r, 1.0)))
+        t = L1Sequence((), GeometricTail(1.0, r))
+        unique, cert = diag_uniqueness(s, t)
+        assert not unique
+        for bound in (10, 1e6):
+            n = cert.witness_for(bound)
+            assert cert.ratio_at(n) >= bound > cert.ratio_at(n - 1)
+            with mpmath.workdps(50):
+                log_ratio = n * mpmath.log(mpmath.mpf(s.tail.r) / mpmath.mpf(r))
+            assert float(log_ratio) == pytest.approx(math.log(bound), rel=1e-9)
+
 
 class TestConstruction:
-    def test_halving_base_gives_linear_weights(self):
-        # every index qualifies as an override, so mu_n = n 2^-n
-        mu, _ = construct_unbounded_ratio(HALF)
-        np.testing.assert_allclose(mu.values(6), [n * 2.0 ** -n for n in range(1, 7)], rtol=1e-15)
-        # independent summation: sum n 2^-n = 2
-        assert math.fsum(n * 2.0 ** -n for n in range(1, 200)) == pytest.approx(2.0)
-        assert mu.total() == pytest.approx(2.0, rel=1e-12)
-
-    def test_override_rule_holds(self):
-        for lam in (HALF, THIRD, QUARTER, L1Sequence((5.0, 0.0, 0.125), GeometricTail(0.25, 0.5))):
-            mu, cert = construct_unbounded_ratio(lam)
-            assert cert.overrides, "construction must place witness overrides"
-            for index, k in cert.overrides[:200]:
-                assert lam.value_at(index) <= 2.0 ** -k
-                assert mu.value_at(index) == pytest.approx(k * lam.value_at(index), rel=1e-12)
-
     def test_certificate_witnesses_up_to_large_bounds(self):
         for lam in (HALF, THIRD, QUARTER):
             _, cert = construct_unbounded_ratio(lam)
@@ -218,7 +218,7 @@ class TestConstruction:
         for lam in (HALF, THIRD, QUARTER):
             mu, _ = construct_unbounded_ratio(lam)
             total = mu.total()
-            count = mu.prefix_len
+            count = mu.prefix_len + 1
             while mu.sum_beyond(count) > 1e-13 * total:
                 count *= 2
             assert abs(mu.partial_sum(count) + mu.sum_beyond(count) - total) <= 1e-12 * total
@@ -231,18 +231,19 @@ class TestConstruction:
     def test_ratio_at_is_finite_up_to_the_float64_limit(self):
         # the log ratio at the witness of 1e305 is about 702.7: a finite ratio,
         # and inf only past the log of the largest float64
-        _, cert = construct_unbounded_ratio(L1Sequence((), GeometricTail(0.5, 0.5)), 50)
+        _, cert = construct_unbounded_ratio(L1Sequence((), GeometricTail(0.5, 0.5)))
         index = cert.witness_for(1e305)
         log_ratio = cert.numerator.log_value_at(index) - cert.denominator.log_value_at(index)
         assert 700 < log_ratio < math.log(sys.float_info.max)
-        assert cert.ratio_at(index) == math.exp(log_ratio) >= 1e305
+        assert cert.ratio_at(index) == pytest.approx(math.exp(log_ratio), rel=1e-12)
+        assert cert.ratio_at(index) >= 1e305
         far = index + 30
         assert cert.numerator.log_value_at(far) - cert.denominator.log_value_at(far) > math.log(sys.float_info.max)
         assert cert.ratio_at(far) == math.inf
 
     def test_slow_decay_uses_envelope_witnesses(self):
         slow = L1Sequence((), GeometricTail(1.0, 0.9))
-        mu, cert = construct_unbounded_ratio(slow, horizon=500)
+        mu, cert = construct_unbounded_ratio(slow)
         assert diag_is_dominated(mu, slow) is None
         for bound in (10, 1e3, 1e6):
             assert cert.verify_witness(bound)
@@ -250,6 +251,70 @@ class TestConstruction:
     def test_finite_support_is_rejected(self):
         with pytest.raises(ValidationError, match="finite support"):
             construct_unbounded_ratio(L1Sequence((1.0, 0.5)))
+
+    @pytest.mark.parametrize("a, r", [(1e50, 0.9), (5e-324, 0.5), (1.5e308, 0.5)],
+                             ids=["scale_1e50", "subnormal_scale", "scale_near_max"])
+    def test_extreme_tail_scales_give_a_companion(self, a, r):
+        # a base's own scale at either end of the float range: the companion
+        # keeps a positive scale, a power of two below a, and a finite sum
+        lam = L1Sequence((1.0,), GeometricTail(a, r))
+        t, s = counterexample_pair(lam)
+        assert s.prefix == lam.prefix and s.tail.r == (1.0 + r) / 2.0
+        assert 0.0 < s.tail.a <= a and math.frexp(a / s.tail.a)[0] == 0.5
+        assert math.isfinite(s.total())
+        assert not diag_uniqueness(s, t)[0]
+
+    def test_ratio_one_float_below_1_is_a_counterexample_stage_failure(self):
+        r = 1.0 - 2.0 ** -53
+        with pytest.raises(ConsistencyError, match=repr(r)) as excinfo:
+            construct_unbounded_ratio(L1Sequence((1.0,), GeometricTail(1.0, r)))
+        assert excinfo.value.details == {"stage": "counterexample", "r": r}
+
+
+_LADDER = (1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e10, 1e100, 1e200, 1e300)
+
+
+def _log_ratio_mp(mu, lam, n):
+    """log(mu_n / lam_n) past the prefix, at 50 digits from the tail parameters."""
+    with mpmath.workdps(50):
+        j = n - lam.prefix_len
+        log_mu = mpmath.log(mu.tail.a) + j * mpmath.log(mu.tail.r)
+        return log_mu - mpmath.log(lam.tail.a) - j * mpmath.log(lam.tail.r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e300)), max_size=300),
+    st.floats(min_value=5e-324, max_value=1.5e308),
+    st.floats(min_value=1e-300, max_value=1.0 - 2.0 ** -52),
+)
+@example([], 5e-324, 0.5)
+@example([1.0], 1e50, 0.9)
+@example([1.0, 0.0], 1.5e308, 0.5)
+@example([1e300] * 300, 1e-300, 1e-300)
+@example([0.0, 0.5], 1e-20, 1.0 - 2.0 ** -52)
+@example([0.25], 5e-324, 1.0 - 2.0 ** -52)
+def test_closed_form_companion_over_every_valid_base(prefix, a, r):
+    try:
+        lam = L1Sequence(tuple(prefix), GeometricTail(a, r))
+    except ValidationError:
+        assume(False)  # the sum of the base itself is past float64
+    mu, cert = construct_unbounded_ratio(lam)
+    assert mu.prefix_len == lam.prefix_len
+    assert math.isfinite(mu.total()) and L1Sequence(mu.prefix, mu.tail) == mu
+    split = diagonal._diag_split(mu, lam)
+    assert split.sing.tail is None and not any(split.sing.prefix)
+    assert not split.certificate.bounded
+    start = lam.prefix_len + 1
+    for bound in _LADDER:
+        n = cert.witness_for(bound)
+        log_bound = math.log(bound)
+        tol = 1e-12 * (10 + abs(float(_log_ratio_mp(mu, lam, n))))
+        assert n >= start and cert.ratio_at(n) >= bound
+        assert _log_ratio_mp(mu, lam, n) >= log_bound - tol
+        if n > start:
+            assert cert.ratio_at(n - 1) < bound
+            assert _log_ratio_mp(mu, lam, n - 1) < log_bound + tol
 
 
 class TestCounterexamplePair:
@@ -275,9 +340,9 @@ class TestCounterexamplePair:
             assert c >= size / 2
             assert c >= previous - 1e-9
             previous = constants[size] = c
-        # ratio at the last kept index is exactly the index while the whole
-        # truncation stays above the rank floor (2^-32 is still resolvable)
-        assert constants[32] == pytest.approx(32.0, rel=1e-9)
+        # ratio at the last kept index, (3/2)^32, while the whole truncation
+        # stays above the rank floor (2^-32 is still resolvable)
+        assert constants[32] == pytest.approx(1.5 ** 32, rel=1e-9)
 
     def test_finite_rank_input_fails(self):
         with pytest.raises(ValidationError):
@@ -471,7 +536,7 @@ class TestOneSplit:
             assert _bits(cert.numerator) == _bits(ac_ref) and cert.denominator is t
 
     def test_split_record(self):
-        t, s = counterexample_pair(THIRD, horizon=200)
+        t, s = counterexample_pair(THIRD)
         split = diagonal._diag_split(s, t)
         assert isinstance(split, diagonal.DiagonalDecomposition)
         assert (split.ac, split.sing) == diag_decompose(s, t)
@@ -500,19 +565,19 @@ class TestOneSplit:
         # the companion is unbounded against its base: no value of the base's
         # tail is read, so nothing is materialized
         counts = _count_splits(monkeypatch)
-        counterexample_pair(L1Sequence((1.0, 0.0, 0.5), GeometricTail(0.5, 0.9)), horizon=500)
+        counterexample_pair(L1Sequence((1.0, 0.0, 0.5), GeometricTail(0.5, 0.9)))
         assert counts == {"split": 1, "materialized": 0}
 
     def test_split_evaluates_only_the_tail_values_it_reads(self, monkeypatch):
-        # a 256-entry base with r = 0.999 and its 100 256-entry companion: the
-        # closed form covers the whole aligned tail, so an unbounded split
-        # evaluates no value of the base's tail, and a bounded one, which needs
-        # the ratio, evaluates each offset once
+        # a 256-entry base with r = 0.999 and a 100 256-entry companion, the
+        # base's values with a slower tail: the closed form covers the whole
+        # aligned tail, so an unbounded split evaluates no value of the base's
+        # tail, and a bounded one, which needs the ratio, evaluates each offset once
         rng = make_rng(61)
         prefix = tuple(float(v) if rng.random() > 0.25 else 0.0 for v in rng.uniform(0.05, 1.0, 256))
         lam = L1Sequence(prefix, GeometricTail(0.5, 0.999))
-        mu, _ = construct_unbounded_ratio(lam, 100_000)
-        assert mu.prefix_len == 100_256
+        long = lam.materialized(100_256)
+        mu = L1Sequence(long.prefix, GeometricTail(long.tail.a, 0.9995))
         offsets, tail = [], L1Sequence._tail
 
         def counted_tail(self, offs):

@@ -725,7 +725,53 @@ class TestSpectralBudget:
         assert [lebesgue._verified_bound(a, c, t) for a, c, t in cases] == expected
         assert calls == ["eigvalsh"] * len(cases)
 
-    def test_unbounded_constant_gives_a_non_unique_certificate(self, monkeypatch):
+    def test_unbounded_constant_raises_in_the_domination_stage(self, monkeypatch):
+        # a matrix pair whose regular part passed range containment is always
+        # dominated, so a missing constant is a numerical failure; the error
+        # carries the candidate c and the eigenvalue it measured, which here
+        # passes its band, as the real check did
         monkeypatch.setattr(lebesgue, "_domination_constant", lambda *args: np.inf)
-        cert = decompose(ONES, EYE2).uniqueness
-        assert not cert.unique and cert.c == np.inf and "domination" in cert.witness
+        with pytest.raises(ConsistencyError, match="not dominated") as excinfo:
+            decompose(ONES, EYE2)
+        details = excinfo.value.details
+        assert details["stage"] == "domination" and details["c"] == pytest.approx(2.0)
+        assert details["band"] == pytest.approx(-2.0 * psd_core.PSD_TOL)
+        assert details["min_eigenvalue"] >= details["band"]
+
+
+def _near_degenerate_pair(seed, j):
+    """S = A A* and T = B B* with B = [B0, A e1 + 2^-j e6], A (6 x 3) and B0
+    (6 x 2) Gaussian-integer matrices with parts in -4..4.  In exact
+    arithmetic the ranges meet trivially for every j, at a smallest
+    principal angle of about 0.05 * 2^-j."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian_integers(rows, cols):
+        return rng.integers(-4, 5, (rows, cols)) + 1j * rng.integers(-4, 5, (rows, cols))
+
+    a, b0 = gaussian_integers(6, 3), gaussian_integers(6, 2)
+    b = np.column_stack([b0, a[:, 0] + 2.0 ** -j * np.eye(6)[:, 5]])
+    return a @ a.conj().T, b @ b.conj().T
+
+
+class TestNearDegeneratePanel:
+    """As the angle between the ranges shrinks below what float64 resolves,
+    decompose may answer or exit 3, but a matrix pair is never reported
+    non-unique, and every failure names its stage."""
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1e-8, 1e8), (1e8, 1e-8)],
+                             ids=["unit", "small_s", "large_s"])
+    def test_no_non_unique_answer(self, alpha, beta):
+        stages = set()
+        for j in range(4, 33, 2):
+            for seed in range(40):
+                s, t = _near_degenerate_pair(seed, j)
+                try:
+                    dec = decompose(PsdMatrix(alpha * s), PsdMatrix(beta * t))
+                except ConsistencyError as exc:
+                    assert "stage" in (exc.details or {}), f"seed {seed}, j = {j}: {exc}"
+                    stages.add(exc.details["stage"])
+                    continue
+                assert dec.uniqueness.unique, f"seed {seed}, j = {j}: unique = false"
+        # the panel reaches the failure that used to answer unique = false
+        assert "domination" in stages

@@ -58,7 +58,7 @@ def captured_reports(monkeypatch):
 
 
 class TestWriterMatchesStdlib:
-    @pytest.mark.parametrize("name", ["decompose_ones.json", "counterexample_half_h12.json"])
+    @pytest.mark.parametrize("name", ["decompose_ones.json", "counterexample_half.json"])
     def test_goldens(self, name):
         text = (GOLDEN / name).read_text(encoding="utf-8")
         assert _pretty(json.loads(text)) + "\n" == text
@@ -77,9 +77,14 @@ class TestWriterMatchesStdlib:
         assert written == _stdlib(_as_lists(report)) + "\n"
 
     def test_sequence_and_counterexample_reports(self, tmp_path, captured_reports, capsys):
-        lam_path, built = DATA / "lam_half.json", tmp_path / "ce.json"
-        assert main(["--quiet", "counterexample", str(lam_path), str(built),
-                     "--horizon", "2000"]) == 0
+        # a base with a 600-entry gapped prefix, so the companion's prefix takes
+        # the writer's long-list path
+        prefix = np.random.default_rng(7).uniform(0.05, 1.0, 600)
+        prefix[::4] = 0.0
+        lam_path, built = tmp_path / "lam.json", tmp_path / "ce.json"
+        lam_path.write_text(json.dumps({"prefix": prefix.tolist(),
+                                        "tail": {"type": "geometric", "a": 0.5, "r": 0.99}}))
+        assert main(["--quiet", "counterexample", str(lam_path), str(built)]) == 0
         mu_path = tmp_path / "mu.json"
         mu_path.write_text(json.dumps(json.loads(built.read_text())["s"]))
         assert main(["--quiet", "decompose", str(mu_path), str(lam_path),
