@@ -500,10 +500,12 @@ def sequence_to_json(seq: L1Sequence) -> dict:
 
 
 def certificate_to_json(cert: RatioCertificate, ladder=(1, 10, 100, 1e3, 1e4, 1e5, 1e6)) -> dict:
+    """The certificate in the report format; a witness ratio past float64 is
+    null, as JSON has no infinity."""
     if cert.bounded:
         return {"kind": "bounded", "c": cert.c, "witnesses": []}
-    witnesses = [
-        {"bound": bound, "index": index, "ratio": cert.ratio_at(index)}
-        for bound, index in cert.witness_ladder(ladder)
-    ]
+    witnesses = []
+    for bound, index in cert.witness_ladder(ladder):
+        ratio = cert.ratio_at(index)
+        witnesses.append({"bound": bound, "index": index, "ratio": ratio if math.isfinite(ratio) else None})
     return {"kind": "unbounded", "c": None, "witnesses": witnesses}

@@ -41,9 +41,11 @@ from .parallel_sum import _ldexp, _ScaledParallelSums, is_singular_pair
 from .psd_core import (
     CONV_TOL,
     PSD_TOL,
+    RANK_CUTOFF,
     PsdMatrix,
     _computed_psd,
     _hermitian_trace_norm,
+    _leak_sine,
     _unit,
     _with_spectrum,
     loewner_leq,
@@ -193,7 +195,8 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     the engine's weights; the returned approximant is verified densely: above
     the last recorded one in the Loewner order, PSD by construction, and with
     the last domination constant checked against T in ``_frames``, so it is
-    rounded to float64 only once it has passed.
+    rounded to float64 only once it has passed; an exactly zero approximant
+    has c = 0 and enters no frame.
     """
     family = _ScaledParallelSums(s, t)
     threshold = CONV_TOL * trace_norm(s)
@@ -222,10 +225,13 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
                 f"approximant sequence is not monotone at step k={k}",
                 details={"step": k, "gap": step.gap},
             )
-        # c_family / 4^shift, carried into the frames and out again only once checked
-        framed_current, framed_t, power = _frames(current, t)
-        c_bound = _verified_bound(framed_current, _ldexp(c_family, -2 * family.shift - power), framed_t)
-        steps.append(replace(step, c_bound=_ldexp(c_bound, power)))
+        c_bound = 0.0  # an exactly zero approximant has c = 0 against every T
+        if np.any(current):
+            # c_family / 4^shift, carried into the frames and out again only once checked
+            framed_current, framed_t, power = _frames(current, t)
+            framed = _verified_bound(framed_current, _ldexp(c_family, -2 * family.shift - power), framed_t)
+            c_bound = _ldexp(framed, power)
+        steps.append(replace(step, c_bound=c_bound))
         return limit, IterationTrace(tuple(steps))
     raise ConsistencyError(
         f"monotone approximation passed its derived bound of K={bound} scale doublings "
@@ -288,10 +294,12 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
     # finite rank forces domination once the ranges are contained, so a
     # missing constant here is a numerical failure, not a non-unique answer
     if math.isinf(c := _domination_constant(ac.array, t)):
-        miss = _domination_miss(ac.array, t)
+        miss = {**_domination_miss(ac.array, t),
+                "leak_sine": _leak_sine(ac, t), "leak_threshold": math.sqrt(RANK_CUTOFF)}
         raise ConsistencyError("regular part is not dominated although its range is contained: "
                                "c = {c:.3e}, smallest eigenvalue of c T - ac {min_eigenvalue:.3e} "
-                               "against the band {band:.3e}".format(**miss), details=miss)
+                               "against the band {band:.3e}, range leak sine {leak_sine:.3e} "
+                               "within {leak_threshold:.3e}".format(**miss), details=miss)
     return LebesgueDecomposition(ac=ac, sing=sing, trace_of_iteration=record,
                                  uniqueness=UniquenessCertificate(unique=True, c=c))
 

@@ -62,9 +62,10 @@ class _ScaledParallelSums:
     Y_i = H_i / (1 - a_i) in range S', so the weighted components live on
     range S' intersect range T', of dimension p + q - kept for p = rank T,
     q = rank S and kept the rank of the Gram matrix.  When the ranges meet
-    trivially, kept = p + q, W is square and unitary, W1* W1 is a projector
-    and every a_i is 0 or 1: the family is empty, and is built so without the
-    overlap eigenproblem.
+    trivially, kept = p + q <= n, W is square and unitary, W1* W1 is a
+    projector and every a_i is 0 or 1: the family is empty, and is built so
+    from the Gram eigenvalues alone, without Gram eigenvectors or the overlap
+    eigenproblem.
     """
 
     def __init__(self, s: PsdMatrix, t: PsdMatrix):
@@ -77,8 +78,14 @@ class _ScaledParallelSums:
         p = left.shape[1]
         stacked = np.concatenate([left, right], axis=1)
         gram = stacked.conj().T @ stacked
-        gw, gV = np.linalg.eigh((gram + gram.conj().T) / 2)
-        # eigh sorts ascending: the kept components are the trailing ones
+        gram = (gram + gram.conj().T) / 2
+        # the ranges can meet trivially only when p + q <= n, and whether they
+        # do is read off the Gram eigenvalues: eigenvectors only if some
+        # component is cut
+        gw = np.linalg.eigvalsh(gram) if stacked.shape[1] <= s.dim else None
+        if gw is None or rank_at_scale(gw, gw.max(initial=0.0)) < gw.size:
+            gw, gV = np.linalg.eigh(gram)
+        # both sort ascending: the kept components are the trailing ones
         kept = rank_at_scale(gw[::-1], gw.max(initial=0.0))
         if kept == gw.size:  # the ranges meet trivially: no component carries weight
             self._weights, self._mass, self._direction = np.zeros(0), np.zeros(0), stacked[:, :0]

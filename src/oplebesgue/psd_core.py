@@ -335,13 +335,18 @@ def range_contained(a, b) -> bool:
     """
     psd_a, psd_b = _as_psd(a), _as_psd(b)
     _require_same_dim(psd_a.array, psd_b.array)
-    k_a = psd_a.rank()
+    return _leak_sine(psd_a, psd_b) <= math.sqrt(RANK_CUTOFF)
+
+
+def _leak_sine(a: PsdMatrix, b: PsdMatrix) -> float:
+    """The largest principal-angle sine of range(a) against range(b),
+    op_norm((I - P_b) V_a), each rank at its operand's own scale; 0 for a = 0."""
+    k_a = a.rank()
     if k_a == 0:
-        return True
-    basis_a = psd_a.spectrum.eigenvectors[:, :k_a]
-    basis_b = psd_b.spectrum.eigenvectors[:, :psd_b.rank()]
-    leak = basis_a - basis_b @ (basis_b.conj().T @ basis_a)
-    return op_norm(leak) <= math.sqrt(RANK_CUTOFF)
+        return 0.0
+    basis_a = a.spectrum.eigenvectors[:, :k_a]
+    basis_b = b.spectrum.eigenvectors[:, :b.rank()]
+    return op_norm(basis_a - basis_b @ (basis_b.conj().T @ basis_a))
 
 
 # --- JSON wire format -------------------------------------------------------

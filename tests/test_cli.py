@@ -239,6 +239,20 @@ class TestCounterexample:
         assert body["s"]["prefix"] == [1.0] and body["s"]["tail"]["r"] == (1.0 + r) / 2.0
         assert all(w["ratio"] >= w["bound"] for w in body["certificate"]["witnesses"])
 
+    def test_ratio_past_float64_is_written_as_null(self, tmp_path, capsys):
+        # at r = 5e-324 the log ratio at the first tail index is about 743.7:
+        # every witness sits there, and its ratio, past float64, is null
+        lam_path, out = tmp_path / "lam.json", tmp_path / "ce.json"
+        lam_path.write_text(json.dumps({"prefix": [1.0], "tail": {"type": "geometric", "a": 1.0, "r": 5e-324}}))
+        code, _, err = run_cli(["--quiet", "counterexample", lam_path, out], capsys)
+        assert code == 0 and err == ""
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        witnesses = json.loads(out.read_text(), parse_constant=reject)["certificate"]["witnesses"]
+        assert [(w["index"], w["ratio"]) for w in witnesses] == [(2, None)] * 7
+
     def test_ratio_one_float_below_1_exits_3(self, tmp_path, capsys):
         # (1 + r)/2 rounds to 1.0: no slower tail exists in float64, a
         # numerical limit of the construction, not invalid input

@@ -694,20 +694,22 @@ class TestSpectralBudget:
                                 calls.append(_n) or _f(*a, **k))
         return calls
 
-    @pytest.mark.parametrize("rank, eigh, eigvalsh", [(24, 3, 7), (16, 2, 2)], ids=["generic", "singular"])
+    @pytest.mark.parametrize("rank, eigh, eigvalsh", [(24, 2, 8), (16, 0, 4)], ids=["generic", "singular"])
     def test_decompose(self, monkeypatch, rank, eigh, eigvalsh):
         rng = make_rng(44)
         s, t = random_psd(rng, 32, rank=rank), random_psd(rng, 32, rank=rank)
         assert is_singular_pair(s, t) == (rank == 16)
         calls = self.counting(monkeypatch)
         assert decompose(s, t).uniqueness.unique
-        # eigh: the Gram of the engine in the iteration and in the singularity
-        # test of (sing, T), and the overlap only where the ranges meet, which
-        # (sing, T) never do; the limit, the regular and the singular part take
-        # their spectra from thin SVDs of their factors, and trace_norm(S)
-        # reads the cached spectrum of S.  A singular pair has exactly zero
-        # iterates and regular part, whose checks need no eigvalsh: it keeps
-        # the additivity residual and the range join of the singularity test
+        # each engine reads its Gram with one eigvalsh when p + q <= n and
+        # adds the Gram and overlap eigh only where the ranges meet: (S, T)
+        # here in the generic case, never (sing, T), whose p + q <= n always.
+        # The limit, the regular and the singular part take their spectra
+        # from thin SVDs of their factors, and trace_norm(S) reads the cached
+        # spectrum of S.  A singular pair has exactly zero iterates and
+        # regular part, whose checks need no eigensolve: it keeps the two
+        # Gram eigvalsh, the additivity residual and the range join of the
+        # singularity test
         assert calls.count("eigh") == eigh
         assert calls.count("eigvalsh") == eigvalsh
 
@@ -737,6 +739,19 @@ class TestSpectralBudget:
         assert details["stage"] == "domination" and details["c"] == pytest.approx(2.0)
         assert details["band"] == pytest.approx(-2.0 * psd_core.PSD_TOL)
         assert details["min_eigenvalue"] >= details["band"]
+        # the range containment it passed, measured on the failure path
+        assert details["leak_sine"] <= details["leak_threshold"] == math.sqrt(psd_core.RANK_CUTOFF)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100)])
+    def test_singular_pair_frames_nothing(self, monkeypatch, alpha, beta):
+        # the approximants of a pair whose ranges meet trivially are exact
+        # zeros, with c = 0 against T: no frame and no Loewner check of c T
+        s, t = structured_pair("singular", 32, 3)
+        s, t = PsdMatrix(alpha * s), PsdMatrix(beta * t)
+        for name in ("_frames", "_verified_bound"):
+            monkeypatch.setattr(lebesgue, name, lambda *args, _n=name: pytest.fail(f"{_n} entered"))
+        limit, record = lebesgue.ac_part_iterative(s, t)
+        assert not np.any(limit.array) and record.steps[-1].c_bound == 0.0
 
 
 def _near_degenerate_pair(seed, j):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oplebesgue import (
     DimensionMismatchError,
@@ -209,10 +211,11 @@ class TestSingularityReadsTheWeights:
         for s, t in pairs:
             calls.clear()
             singular = is_singular_pair(s, t)
-            # the engine's Gram eigh, its overlap eigh only where the ranges
-            # meet, and the range-join eigvalsh
+            # the engine's Gram eigvalsh when p + q <= n, its Gram and overlap
+            # eigh only where the ranges meet, and the range-join eigvalsh
             assert singular == (s.rank() + t.rank() <= s.dim)
-            assert sorted(calls) == ["eigh"] * (1 if singular else 2) + ["eigvalsh"]
+            expected = ["eigvalsh"] * 2 if singular else ["eigh"] * 2 + ["eigvalsh"]
+            assert sorted(calls) == expected
 
     def test_weight_trace_matches_the_dense_oracle(self):
         for s, t in self.pairs():
@@ -236,7 +239,7 @@ class TestSingularityReadsTheWeights:
 class TestRangesMeetingTrivially:
     """When the ranges meet trivially the Gram basis W is square and unitary,
     so W1* W1 is a projector and no component carries weight: the engine is
-    built empty from its one Gram eigensolve."""
+    built empty from the Gram eigenvalues alone."""
 
     @pytest.mark.parametrize("dim", [16, 64])
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100),
@@ -258,10 +261,55 @@ class TestRangesMeetingTrivially:
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
         family = parallel_sum_module._ScaledParallelSums(s, t)
-        assert calls == ["eigh"]
+        assert calls == ["eigvalsh"]
         assert family._weights.size == family._mass.size == 0 and family._direction.shape == (dim, 0)
         assert family.trace_at(None) == 0.0 and family.reach(1.0) == 0.0
         assert not np.any(family.at_scale(1.0)) and family.domination_at(1.0) == 0.0
+
+
+def _pair_sharing(seed, dim, shared, own_s, own_t):
+    """Complex PSD pair whose ranges are spanned by Gaussian columns [A, B_s]
+    and [A, B_t]: generically they meet in span A, of dimension ``shared``."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    common = gaussian(dim, shared)
+    range_s = np.concatenate([common, gaussian(dim, own_s)], axis=1)
+    range_t = np.concatenate([common, gaussian(dim, own_t)], axis=1)
+    factor_s = range_s @ gaussian(range_s.shape[1], range_s.shape[1])
+    factor_t = range_t @ gaussian(range_t.shape[1], range_t.shape[1])
+    return factor_s @ factor_s.conj().T, factor_t @ factor_t.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.integers(0, 3), own_s=st.integers(0, 6),
+       own_t=st.integers(0, 6), slack=st.integers(0, 3),
+       scales=st.sampled_from([(1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100)]))
+def test_gram_eigenvalue_path_builds_the_eigh_family(seed, shared, own_s, own_t, slack, scales):
+    # p + q <= n: the Gram eigenvalues decide whether the ranges meet, and a
+    # family read off them equals, bit for bit, one built down the eigh path,
+    # which a rank-deficient eigvalsh report forces
+    assume(shared + own_s >= 1 and shared + own_t >= 1)
+    dim = 2 * shared + own_s + own_t + slack
+    s, t = _pair_sharing(seed, dim, shared, own_s, own_t)
+    s, t = PsdMatrix(scales[0] * s), PsdMatrix(scales[1] * t)
+    assert s.rank() + t.rank() == 2 * shared + own_s + own_t
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            patch.setattr(np.linalg, name, lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
+        fresh = parallel_sum_module._ScaledParallelSums(s, t)
+    assert calls == ["eigvalsh"] + ["eigh"] * (2 if shared else 0)
+    assert fresh._weights.size == shared
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda m: np.zeros(m.shape[0]))
+        forced = parallel_sum_module._ScaledParallelSums(s, t)
+    for name in ("_weights", "_mass", "_direction"):
+        got, expected = getattr(fresh, name), getattr(forced, name)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
 
 
 class TestOperandsAtTheirOwnScale:
