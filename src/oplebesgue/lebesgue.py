@@ -26,6 +26,13 @@ singularity of the remainder and range containment of the regular part, and
 certifies uniqueness: the split is unique iff the regular part is dominated
 by T.  In this finite-dimensional model that always holds -- the certificate
 still performs the check, and a regular part that fails it raises ConsistencyError.
+
+A certificate that clears its threshold by more than its exact solve's
+roundoff is decided without that solve: the Loewner checks and the ranks of
+the singularity test by a shifted Cholesky factorization, the oracle drift,
+additivity and range leak by a Frobenius-norm bound.  The eigenvalue or
+singular-value solve runs only where such a screen is inconclusive, so every
+verdict is the one it would give, and every failure reports its measured value.
 """
 
 from __future__ import annotations
@@ -44,11 +51,12 @@ from .psd_core import (
     RANK_CUTOFF,
     PsdMatrix,
     _computed_psd,
-    _hermitian_trace_norm,
-    _leak_sine,
+    _leak,
+    _relative_trace_norm,
     _unit,
     _with_spectrum,
     loewner_leq,
+    op_norm,
     range_contained,
     trace_norm,
 )
@@ -276,7 +284,7 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
     ac_factor, sing_factor = _closed_factors(s, t)
     ac = _computed_psd(ac_factor, s.lam_max)
     scale = trace_norm(s) or 1.0  # an exactly zero S splits into exact zeros
-    drift = _hermitian_trace_norm(iterative.array - ac.array) / scale
+    drift = _relative_trace_norm(iterative.array - ac.array, scale, ORACLE_AGREEMENT_RTOL)
     if not drift <= ORACLE_AGREEMENT_RTOL:
         raise ConsistencyError(
             f"independent computations of the regular part disagree "
@@ -284,7 +292,7 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
             details={"stage": "oracle", "iterative": iterative, "closed": ac},
         )
     sing = _computed_psd(sing_factor, s.lam_max)
-    residual = _hermitian_trace_norm(ac.array + sing.array - s.array) / scale
+    residual = _relative_trace_norm(ac.array + sing.array - s.array, scale, ADDITIVITY_RTOL)
     if not residual <= ADDITIVITY_RTOL:
         raise ConsistencyError(f"regular and singular parts do not add back to the input ({residual:.3e})")
     if not is_singular_pair(sing, t):
@@ -295,7 +303,7 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
     # missing constant here is a numerical failure, not a non-unique answer
     if math.isinf(c := _domination_constant(ac.array, t)):
         miss = {**_domination_miss(ac.array, t),
-                "leak_sine": _leak_sine(ac, t), "leak_threshold": math.sqrt(RANK_CUTOFF)}
+                "leak_sine": op_norm(_leak(ac, t)), "leak_threshold": math.sqrt(RANK_CUTOFF)}
         raise ConsistencyError("regular part is not dominated although its range is contained: "
                                "c = {c:.3e}, smallest eigenvalue of c T - ac {min_eigenvalue:.3e} "
                                "against the band {band:.3e}, range leak sine {leak_sine:.3e} "

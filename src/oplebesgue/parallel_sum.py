@@ -18,7 +18,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatchError
-from .psd_core import CONV_TOL, PSD_TOL, RANK_CUTOFF, PsdMatrix, _computed_psd, rank_at_scale, trace
+from .psd_core import (
+    CONV_TOL,
+    PSD_TOL,
+    RANK_CUTOFF,
+    PsdMatrix,
+    _computed_psd,
+    _eigenvalues_above,
+    rank_at_scale,
+    trace,
+)
 
 # Scalar filter components with weight below this are exact zeros up to
 # roundoff (their factor columns vanish identically in exact arithmetic).
@@ -63,9 +72,10 @@ class _ScaledParallelSums:
     range S' intersect range T', of dimension p + q - kept for p = rank T,
     q = rank S and kept the rank of the Gram matrix.  When the ranges meet
     trivially, kept = p + q <= n, W is square and unitary, W1* W1 is a
-    projector and every a_i is 0 or 1: the family is empty, and is built so
-    from the Gram eigenvalues alone, without Gram eigenvectors or the overlap
-    eigenproblem.
+    projector and every a_i is 0 or 1: the family is empty.  It is built so
+    without an eigensolve once a shifted Cholesky factorization certifies
+    that every Gram eigenvalue clears the rank cut at the bound 2 on
+    lambda_max; the Gram eigh runs only when that is inconclusive.
     """
 
     def __init__(self, s: PsdMatrix, t: PsdMatrix):
@@ -79,15 +89,15 @@ class _ScaledParallelSums:
         stacked = np.concatenate([left, right], axis=1)
         gram = stacked.conj().T @ stacked
         gram = (gram + gram.conj().T) / 2
-        # the ranges can meet trivially only when p + q <= n, and whether they
-        # do is read off the Gram eigenvalues: eigenvectors only if some
-        # component is cut
-        gw = np.linalg.eigvalsh(gram) if stacked.shape[1] <= s.dim else None
-        if gw is None or rank_at_scale(gw, gw.max(initial=0.0)) < gw.size:
-            gw, gV = np.linalg.eigh(gram)
-        # both sort ascending: the kept components are the trailing ones
-        kept = rank_at_scale(gw[::-1], gw.max(initial=0.0))
-        if kept == gw.size:  # the ranges meet trivially: no component carries weight
+        # the ranges can meet trivially only when p + q <= n; each scaled
+        # factor has norm below 1, so lambda_max(gram) < 2, and a Gram whose
+        # eigenvalues all clear 2 RANK_CUTOFF keeps every component
+        trivial = stacked.shape[1] <= s.dim and _eigenvalues_above(gram, 2 * RANK_CUTOFF)
+        if not trivial:
+            gw, gV = np.linalg.eigh(gram)  # ascending: the kept components are the trailing ones
+            kept = rank_at_scale(gw[::-1], gw.max(initial=0.0))
+            trivial = kept == gw.size
+        if trivial:  # the ranges meet trivially: no component carries weight
             self._weights, self._mass, self._direction = np.zeros(0), np.zeros(0), stacked[:, :0]
             return
         basis = gV[:, gw.size - kept:]
@@ -227,9 +237,14 @@ def _singularity(s: PsdMatrix, t: PsdMatrix) -> Tuple[bool, _ScaledParallelSums]
 
     k_s, k_t = s.rank(), t.rank()
     bases = np.concatenate([s.spectrum.eigenvectors[:, :k_s], t.spectrum.eigenvectors[:, :k_t]], axis=1)
-    joint = np.linalg.eigvalsh(bases.conj().T @ bases)[::-1]
-    rank_join = rank_at_scale(joint, joint[0] if joint.size else 0.0)
-    intersection_dim = k_s + k_t - rank_join
+    join = bases.conj().T @ bases
+    # orthonormal columns: lambda_max(join) <= 2, so a join whose eigenvalues
+    # all clear 2 RANK_CUTOFF has full rank
+    if k_s + k_t <= s.dim and _eigenvalues_above(join, 2 * RANK_CUTOFF):
+        intersection_dim = 0
+    else:
+        joint = np.linalg.eigvalsh(join)[::-1]
+        intersection_dim = k_s + k_t - rank_at_scale(joint, joint[0] if joint.size else 0.0)
     range_says = intersection_dim == 0
 
     if trace_says != range_says:
@@ -252,7 +267,9 @@ def is_singular_pair(s: PsdMatrix, t: PsdMatrix) -> bool:
     own scale; disagreement between the two raises ConsistencyError,
     signalling a tolerance misconfiguration rather than an answer.  The rank
     of P_s + P_t is read off the Gram matrix of the two range bases, which
-    has the same nonzero eigenvalues.
+    has the same nonzero eigenvalues: a shifted Cholesky factorization
+    certifies full rank when every eigenvalue clears the cut at the bound 2
+    on lambda_max, and the eigenvalues are computed only when it cannot.
     """
     return _singularity(s, t)[0]
 

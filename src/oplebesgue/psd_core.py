@@ -76,6 +76,27 @@ def _numeric(entries) -> np.ndarray:
     return np.asarray(entries, dtype=complex)
 
 
+def _checked_hermitian(entries) -> np.ndarray:
+    """``entries`` as a complex array, which must be square, finite and equal
+    to its conjugate transpose up to HERMITIAN_ATOL; ValidationError
+    otherwise.  An exactly Hermitian array is passed by one comparison."""
+    arr = _numeric(entries)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("matrix entries must be finite")
+    if np.array_equal(arr, arr.conj().T):
+        return arr
+    deviation = np.abs(arr / 2 - arr.conj().T / 2)  # halved, so it cannot overflow
+    if deviation.max() > HERMITIAN_ATOL * np.abs(arr).max() / 2:
+        i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+        raise ValidationError(
+            f"matrix is not Hermitian: entries ({i},{j})={arr[i, j]:.6g} and "
+            f"({j},{i})={arr[j, i]:.6g} differ beyond tolerance"
+        )
+    return arr
+
+
 class HermitianMatrix:
     """A validated square complex matrix equal to its conjugate transpose.
 
@@ -87,18 +108,7 @@ class HermitianMatrix:
     __slots__ = ("_array",)
 
     def __init__(self, entries):
-        arr = _numeric(entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.size and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise ValidationError("matrix entries must be finite")
-        deviation = np.abs(arr / 2 - arr.conj().T / 2)  # halved, so it cannot overflow
-        if arr.size and deviation.max() > HERMITIAN_ATOL * np.abs(arr).max() / 2:
-            i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
-            raise ValidationError(
-                f"matrix is not Hermitian: entries ({i},{j})={arr[i, j]:.6g} and "
-                f"({j},{i})={arr[j, i]:.6g} differ beyond tolerance"
-            )
+        arr = _checked_hermitian(entries)
         self._array = _frozen(arr / 2 + arr.conj().T / 2)
 
     @property
@@ -258,23 +268,70 @@ def range_projection(matrix) -> PsdMatrix:
     return _with_spectrum(V[:, :k] @ V[:, :k].conj().T, unit_w, V)
 
 
+def _eigenvalues_above(array: np.ndarray, floor: float) -> bool:
+    """True when a Cholesky factorization certifies that every eigenvalue of
+    the Hermitian ``array`` exceeds ``floor``.  False is inconclusive, never a
+    verdict: it is the answer to a failed factorization and to non-finite
+    input, checked first because ``np.linalg.cholesky`` can return nan for it
+    without raising.
+
+    Matrix and floor are first divided by the power of two of the larger of
+    the two.  The factor R of B = M - (floor + delta) I is then the exact
+    factor of B + E with |E| <= gamma |R*| |R| entrywise, gamma = (n + 2) eps
+    covering complex arithmetic and the rounding of the shift (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), so
+    |E|_2 <= gamma |R|_F^2 <= gamma trace(B) / (1 - gamma).  The allowance
+    delta = 2 gamma sum_i |M_ii - floor|, at most 2 n (n + 2) eps
+    |M - floor I|_2, exceeds that, so a factor that exists means
+    lambda_min(M) - floor >= delta - |E|_2 > 0.
+    """
+    if not (math.isfinite(floor) and np.all(np.isfinite(array))):
+        return False
+    n = array.shape[0]
+    unit = max(_unit(array), _unit(np.array([floor])))
+    scaled, low = array / unit, floor / unit
+    room = float(np.abs(np.diagonal(scaled) - low).sum())
+    scaled[np.diag_indices(n)] -= low + 2 * (n + 2) * sys.float_info.epsilon * room
+    try:
+        np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _frobenius_bound(array: np.ndarray) -> float:
+    """The Frobenius norm of ``array``, an upper bound on its largest singular
+    value, enlarged by 2 n (n + 2) eps, n its longer side, the allowance of
+    ``_eigenvalues_above``, so that it also bounds what a singular-value or
+    eigenvalue solve reports.  Taken on the array divided by its power of
+    two; nan unless every entry is finite."""
+    if not np.all(np.isfinite(array)):
+        return math.nan
+    n, unit = max(array.shape, default=0), _unit(array)
+    return float(np.linalg.norm(array / unit)) * (1.0 + 2 * n * (n + 2) * sys.float_info.epsilon) * unit
+
+
 def loewner_leq(a, b) -> bool:
     """Decide a <= b in the Loewner order.
 
     True iff the smallest eigenvalue of b - a stays above -PSD_TOL * |b|, with
     |b| the largest |eigenvalue| of b (lambda_max(b) for PSD b): a band
     relative to b with no floor, so the comparison means the same at every
-    scale.  A PsdMatrix b supplies its cached spectrum.  A b - a that is
-    exactly zero has smallest eigenvalue exactly 0 and is decided without one.
+    scale.  An operand that is not a HermitianMatrix is checked like one, so
+    a non-Hermitian or non-finite operand raises ValidationError.  A
+    PsdMatrix b supplies its cached spectrum.  A b - a that is exactly zero
+    has smallest eigenvalue exactly 0 and is decided without one; otherwise
+    a shifted Cholesky factorization of b - a decides every clear pass, and
+    its smallest eigenvalue is computed only when that is inconclusive.
     """
-    arr_a, arr_b = _as_array(a), _as_array(b)
+    arr_a, arr_b = (m.array if isinstance(m, HermitianMatrix) else _checked_hermitian(m) for m in (a, b))
     _require_same_dim(arr_a, arr_b)
     difference = arr_b - arr_a
     if not np.any(difference):
         return True
-    diff_min = float(np.linalg.eigvalsh(difference)[0])
     spectrum_b = b.eigenvalues if isinstance(b, PsdMatrix) else np.linalg.eigvalsh(arr_b)
-    return diff_min >= -PSD_TOL * float(np.abs(spectrum_b).max(initial=0.0))
+    band = PSD_TOL * float(np.abs(spectrum_b).max(initial=0.0))
+    return _eigenvalues_above(difference, -band) or float(np.linalg.eigvalsh(difference)[0]) >= -band
 
 
 def trace(matrix) -> float:
@@ -305,6 +362,14 @@ def _hermitian_trace_norm(array: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(array)).sum()) if np.any(array) else 0.0
 
 
+def _relative_trace_norm(array: np.ndarray, scale: float, limit: float) -> float:
+    """``_hermitian_trace_norm(array) / scale``, or, when it already lies
+    within ``limit``, the bound sqrt(n) |array|_F / scale on it: a clear pass
+    needs no eigensolve, and a value past ``limit`` is always the measured one."""
+    bound = math.sqrt(array.shape[0]) * _frobenius_bound(array) / scale
+    return bound if bound <= limit else _hermitian_trace_norm(array) / scale
+
+
 def op_norm(matrix) -> float:
     """Largest singular value."""
     return float(_singular_values(matrix).max(initial=0.0))
@@ -331,22 +396,23 @@ def range_contained(a, b) -> bool:
     measured by the largest principal-angle sine, op_norm((I - P_b) V_a) with
     V_a an orthonormal basis of range(a); genuine inclusions sit at roundoff
     level while violations are O(1), so the threshold sqrt(RANK_CUTOFF)
-    separates them with orders of margin.
+    separates them with orders of margin.  The Frobenius norm of the leak
+    decides every clear inclusion; its largest singular value is computed
+    only when that bound is inconclusive.
     """
     psd_a, psd_b = _as_psd(a), _as_psd(b)
     _require_same_dim(psd_a.array, psd_b.array)
-    return _leak_sine(psd_a, psd_b) <= math.sqrt(RANK_CUTOFF)
+    leak, threshold = _leak(psd_a, psd_b), math.sqrt(RANK_CUTOFF)
+    return _frobenius_bound(leak) <= threshold or op_norm(leak) <= threshold
 
 
-def _leak_sine(a: PsdMatrix, b: PsdMatrix) -> float:
-    """The largest principal-angle sine of range(a) against range(b),
-    op_norm((I - P_b) V_a), each rank at its operand's own scale; 0 for a = 0."""
-    k_a = a.rank()
-    if k_a == 0:
-        return 0.0
-    basis_a = a.spectrum.eigenvectors[:, :k_a]
+def _leak(a: PsdMatrix, b: PsdMatrix) -> np.ndarray:
+    """(I - P_b) V_a, whose largest singular value is the largest
+    principal-angle sine of range(a) against range(b), each rank at its
+    operand's own scale; no columns for a = 0."""
+    basis_a = a.spectrum.eigenvectors[:, :a.rank()]
     basis_b = b.spectrum.eigenvectors[:, :b.rank()]
-    return op_norm(basis_a - basis_b @ (basis_b.conj().T @ basis_a))
+    return basis_a - basis_b @ (basis_b.conj().T @ basis_a)
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -1,3 +1,6 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
 
@@ -95,3 +98,28 @@ def graded_panel(floor):
 @pytest.fixture
 def rng():
     return make_rng(1234)
+
+
+def screens_inconclusive(patch):
+    """Make every certificate screen inconclusive through ``patch``, a
+    MonkeyPatch, so that each certificate is decided by its exact eigenvalue
+    or singular-value solve: the shifted Cholesky factorization, where
+    psd_core and parallel_sum call it, and the Frobenius bound."""
+    for name in ("psd_core", "parallel_sum"):
+        patch.setattr(importlib.import_module(f"oplebesgue.{name}"), "_eigenvalues_above",
+                      lambda array, floor: False)
+    patch.setattr(importlib.import_module("oplebesgue.psd_core"), "_frobenius_bound",
+                  lambda array: math.inf)
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """The dense factorizations called through np.linalg from here on, by name
+    and in call order: eigh, eigvalsh, svd and cholesky.  Build the inputs
+    first, or clear() the list before the call it is to count."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    return calls

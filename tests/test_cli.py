@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,8 @@ import pytest
 
 from oplebesgue import cli, lebesgue, psd_from_json, truncate_to_matrix
 from oplebesgue.cli import main
-from conftest import graded_panel, structured_pair
+from oplebesgue.psd_core import RANK_CUTOFF
+from conftest import graded_panel, make_rng, random_unitary, screens_inconclusive, structured_pair
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -662,3 +664,55 @@ class TestValidInputNeverExits2:
                                         tmp_path / "r.json"], capsys)
                 where = f"{structure} at ({alpha:g}, {beta:g}): {err.strip()}"
                 assert code == 0 and err == "", where
+
+
+def _aligned_pair(dim, theta, seed):
+    """A rank-2 S and a rank-2 T in C^dim sharing one direction at angle
+    theta: near the rank cut of the engine's Gram and of the range join for
+    tan(theta / 2)^2 near RANK_CUTOFF, and past float64's resolution below."""
+    q = random_unitary(make_rng(seed), dim)
+    tilted = math.cos(theta) * q[:, 0] + math.sin(theta) * q[:, 1]
+    s = np.outer(q[:, 0], q[:, 0].conj()) + 0.5 * np.outer(q[:, 2], q[:, 2].conj())
+    return s, np.outer(tilted, tilted.conj()) + 2.0 * np.outer(q[:, 3], q[:, 3].conj())
+
+
+class TestScreens:
+    """A certificate screen decides only what the exact solve decides the
+    same way: with every screen inconclusive, decompose writes the same
+    report bytes, or the same error, with the same exit code."""
+
+    @staticmethod
+    def run(args, capsys, out):
+        out.unlink(missing_ok=True)
+        code, stdout, err = run_cli(args, capsys)
+        report = re.sub(rb'"elapsed_seconds": [^\n]*', b"", out.read_bytes()) if out.exists() else None
+        return code, stdout, err, report
+
+    def cases(self, tmp_path):
+        yield DATA / "s_ones.json", DATA / "t_diag10.json"
+        yield DATA / "t_eye3.json", DATA / "t_eye3.json"
+        yield DATA / "s_seq.json", DATA / "t_seq.json"
+        pairs = [structured_pair(structure, 16, seed)
+                 for structure in ("generic", "singular", "full_rank_t") for seed in (0, 1)]
+        pairs += [(1e-100 * s, 1e100 * t) for s, t in pairs[::2]]
+        pairs += [(s.array, t.array) for s, t in graded_panel(1.5e-10)[:2]]
+        cut = 2.0 * math.atan(math.sqrt(RANK_CUTOFF))
+        pairs += [_aligned_pair(6, theta, 0) for theta in (1e-3, 1.2 * cut, cut, 0.8 * cut, 1e-9)]
+        for i, (s, t) in enumerate(pairs):
+            s_path, t_path = tmp_path / f"s{i}.json", tmp_path / f"t{i}.json"
+            _write_matrix(s_path, s)
+            _write_matrix(t_path, t)
+            yield s_path, t_path
+
+    def test_reports_do_not_depend_on_the_screens(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        codes = set()
+        for s_path, t_path in self.cases(tmp_path):
+            args = ["--quiet", "decompose", s_path, t_path, out]
+            screened = self.run(args, capsys, out)
+            with pytest.MonkeyPatch.context() as patch:
+                screens_inconclusive(patch)
+                exact = self.run(args, capsys, out)
+            assert screened == exact, f"{s_path.name}, {t_path.name}"
+            codes.add(screened[0])
+        assert codes == {0, 3}  # the panel reaches a numerical failure too

@@ -242,7 +242,7 @@ class TestFactoredIteration:
         _, record = ac_part_iterative(s, t)
         assert record.steps[-1].c_bound == np.inf
 
-    def test_dense_spectral_calls_do_not_depend_on_steps(self, monkeypatch):
+    def test_dense_spectral_calls_do_not_depend_on_steps(self, spectral_calls):
         # both pairs have ranks 24 and 24 in n = 32, meeting in 16 dims; the
         # short pair's S is a rank-8 part meeting range T trivially plus a
         # faint rank-16 part inside range T, whose members reach their limit
@@ -255,17 +255,13 @@ class TestFactoredIteration:
         s_short = PsdMatrix(outside + 1e-6 * inside @ inside.conj().T / 24)
         for s, t in ((s_long, t_long), (s_short, t_short)):
             assert s.rank() == t.rank() == 24 and _ScaledParallelSums(s, t)._weights.size == 16
-        calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
-                                calls.append(_n) or _f(*a, **k))
+        spectral_calls.clear()
         _, long_record = ac_part_iterative(s_long, t_long)
-        long_calls = sorted(calls)
-        calls.clear()
+        long_calls = sorted(spectral_calls)
+        spectral_calls.clear()
         _, short_record = ac_part_iterative(s_short, t_short)
         assert len(long_record.steps) > 30 and len(short_record.steps) == 1
-        assert long_calls == sorted(calls)
+        assert long_calls == sorted(spectral_calls)
 
 
 class TestClosed:
@@ -586,16 +582,16 @@ class TestDomination:
         for size in (1.0, 1e-12):
             assert is_dominated(PsdMatrix(size * np.eye(2)), zero) is None
 
-    def test_zero_candidate_needs_no_eigensolve(self, monkeypatch):
+    def test_zero_candidate_needs_no_eigensolve(self, spectral_calls):
         # an exactly zero candidate has c = 0 against every T, of any rank
         rng = make_rng(42)
         zero = PsdMatrix(np.zeros((8, 8)))
         panel = [random_psd(rng, 8, rank=rank) for rank in (8, 3)] + [zero]
-        calls = TestSpectralBudget.counting(monkeypatch)
+        spectral_calls.clear()
         for t in panel:
             assert lebesgue._domination_constant(np.zeros((8, 8), dtype=complex), t) == 0.0
             assert is_dominated(zero, t) == 0.0
-        assert calls == []
+        assert spectral_calls == []
 
     def test_constant_is_tight(self):
         rng = make_rng(41)
@@ -683,37 +679,34 @@ class TestExtremality:
 
 class TestSpectralBudget:
     """Each operand and the pair are factored once; computed operators reuse
-    the spectrum in hand instead of being factored again."""
+    the spectrum in hand instead of being factored again, and a certificate
+    that clears its threshold is decided by a shifted Cholesky factorization
+    or a Frobenius bound instead of an eigensolve."""
 
-    @staticmethod
-    def counting(monkeypatch):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
-                                calls.append(_n) or _f(*a, **k))
-        return calls
-
-    @pytest.mark.parametrize("rank, eigh, eigvalsh", [(24, 2, 8), (16, 0, 4)], ids=["generic", "singular"])
-    def test_decompose(self, monkeypatch, rank, eigh, eigvalsh):
+    @pytest.mark.parametrize("rank, expected", [
+        (24, {"eigh": 2, "eigvalsh": 1, "svd": 4, "cholesky": 5}),
+        (16, {"eigh": 0, "eigvalsh": 0, "svd": 4, "cholesky": 3}),
+    ], ids=["generic", "singular"])
+    def test_decompose(self, spectral_calls, rank, expected):
         rng = make_rng(44)
         s, t = random_psd(rng, 32, rank=rank), random_psd(rng, 32, rank=rank)
         assert is_singular_pair(s, t) == (rank == 16)
-        calls = self.counting(monkeypatch)
+        spectral_calls.clear()
         assert decompose(s, t).uniqueness.unique
-        # each engine reads its Gram with one eigvalsh when p + q <= n and
-        # adds the Gram and overlap eigh only where the ranges meet: (S, T)
-        # here in the generic case, never (sing, T), whose p + q <= n always.
+        # the engine of (S, T) factors its Gram and overlap with eigh only
+        # where the ranges meet; otherwise, as for (sing, T), whose p + q <= n
+        # always, one Cholesky factorization certifies the Gram's full rank.
         # The limit, the regular and the singular part take their spectra
-        # from thin SVDs of their factors, and trace_norm(S) reads the cached
-        # spectrum of S.  A singular pair has exactly zero iterates and
-        # regular part, whose checks need no eigensolve: it keeps the two
-        # Gram eigvalsh, the additivity residual and the range join of the
-        # singularity test
-        assert calls.count("eigh") == eigh
-        assert calls.count("eigvalsh") == eigvalsh
+        # from thin SVDs of their factors, the closed form takes one more, and
+        # trace_norm(S) reads the cached spectrum of S.  Cholesky decides the
+        # Loewner checks of the returned approximant and of c T, and the
+        # range join of the singularity test; Frobenius bounds decide the
+        # oracle drift, additivity and range containment.  The one eigvalsh
+        # left is the framed domination constant's.  A singular pair has
+        # exactly zero iterates and regular part, which need neither
+        assert {name: spectral_calls.count(name) for name in expected} == expected
 
-    def test_verified_bound_reads_lambda_max_of_c_t_from_t(self, monkeypatch):
+    def test_verified_bound_reads_lambda_max_of_c_t_from_t(self, spectral_calls):
         rng = make_rng(45)
         cases = []
         for _ in range(20):
@@ -723,9 +716,13 @@ class TestSpectralBudget:
             c = float(rng.uniform(0.0, 3.0))
             cases.append((candidate, c, t))
         expected = [c if loewner_leq(a, c * t.array) else np.inf for a, c, t in cases]
-        calls = self.counting(monkeypatch)
+        assert 0 < expected.count(np.inf) < len(cases)
+        spectral_calls.clear()
         assert [lebesgue._verified_bound(a, c, t) for a, c, t in cases] == expected
-        assert calls == ["eigvalsh"] * len(cases)
+        # one Cholesky factorization of c T - candidate each, and its smallest
+        # eigenvalue only where that rejects; never a spectrum of c T
+        assert spectral_calls == [name for bound in expected
+                                  for name in ["cholesky"] + ["eigvalsh"] * (bound == np.inf)]
 
     def test_unbounded_constant_raises_in_the_domination_stage(self, monkeypatch):
         # a matrix pair whose regular part passed range containment is always

@@ -1,12 +1,14 @@
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oplebesgue import (
+    ConsistencyError,
     DimensionMismatchError,
     PsdMatrix,
     decompose,
@@ -16,8 +18,16 @@ from oplebesgue import (
     parallel_sum,
     trace,
 )
-from oplebesgue.psd_core import trace_norm
-from conftest import GRADED_FLOORS, graded_panel, make_rng, random_psd, random_unitary, structured_pair
+from oplebesgue.psd_core import RANK_CUTOFF, trace_norm
+from conftest import (
+    GRADED_FLOORS,
+    graded_panel,
+    make_rng,
+    random_psd,
+    random_unitary,
+    screens_inconclusive,
+    structured_pair,
+)
 
 # the package re-exports the function parallel_sum under the module's name
 parallel_sum_module = importlib.import_module("oplebesgue.parallel_sum")
@@ -201,21 +211,16 @@ class TestSingularityReadsTheWeights:
         return [(random_psd(rng, dim, rank=rank), random_psd(rng, dim, rank=rank))
                 for dim, rank in ((8, 6), (16, 8), (32, 16), (32, 32))]
 
-    def test_spectral_calls(self, monkeypatch):
-        pairs = self.pairs()
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
-        for s, t in pairs:
-            calls.clear()
+    def test_spectral_calls(self, spectral_calls):
+        for s, t in self.pairs():
+            spectral_calls.clear()
             singular = is_singular_pair(s, t)
-            # the engine's Gram eigvalsh when p + q <= n, its Gram and overlap
-            # eigh only where the ranges meet, and the range-join eigvalsh
+            # p + q <= n: one Cholesky factorization certifies that the Gram
+            # has full rank and one that the range join does; otherwise the
+            # engine's Gram and overlap eigh, and the range-join eigvalsh
             assert singular == (s.rank() + t.rank() <= s.dim)
-            expected = ["eigvalsh"] * 2 if singular else ["eigh"] * 2 + ["eigvalsh"]
-            assert sorted(calls) == expected
+            expected = ["cholesky"] * 2 if singular else ["eigh"] * 2 + ["eigvalsh"]
+            assert sorted(spectral_calls) == expected
 
     def test_weight_trace_matches_the_dense_oracle(self):
         for s, t in self.pairs():
@@ -239,12 +244,12 @@ class TestSingularityReadsTheWeights:
 class TestRangesMeetingTrivially:
     """When the ranges meet trivially the Gram basis W is square and unitary,
     so W1* W1 is a projector and no component carries weight: the engine is
-    built empty from the Gram eigenvalues alone."""
+    built empty once a Cholesky factorization certifies the Gram's full rank."""
 
     @pytest.mark.parametrize("dim", [16, 64])
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100),
                                              (1e100, 1e100), (1e-100, 1e-100)])
-    def test_overlap_is_a_projector_and_the_family_empty(self, monkeypatch, dim, alpha, beta):
+    def test_overlap_is_a_projector_and_the_family_empty(self, spectral_calls, dim, alpha, beta):
         s, t = structured_pair("singular", dim, 0)
         s, t = PsdMatrix(alpha * s), PsdMatrix(beta * t)
         left, _ = parallel_sum_module._ScaledParallelSums._factor(t)
@@ -256,12 +261,9 @@ class TestRangesMeetingTrivially:
         a = np.linalg.eigvalsh(top.conj().T @ top)
         assert np.all(np.minimum(np.abs(a), np.abs(1.0 - a)) <= 1e-12)
         assert np.count_nonzero(a > 0.5) == left.shape[1] == dim // 2
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
+        spectral_calls.clear()
         family = parallel_sum_module._ScaledParallelSums(s, t)
-        assert calls == ["eigvalsh"]
+        assert spectral_calls == ["cholesky"]
         assert family._weights.size == family._mass.size == 0 and family._direction.shape == (dim, 0)
         assert family.trace_at(None) == 0.0 and family.reach(1.0) == 0.0
         assert not np.any(family.at_scale(1.0)) and family.domination_at(1.0) == 0.0
@@ -283,33 +285,83 @@ def _pair_sharing(seed, dim, shared, own_s, own_t):
     return factor_s @ factor_s.conj().T, factor_t @ factor_t.conj().T
 
 
-@settings(max_examples=60, deadline=None)
+# the counter is cleared for each example
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1), shared=st.integers(0, 3), own_s=st.integers(0, 6),
        own_t=st.integers(0, 6), slack=st.integers(0, 3),
        scales=st.sampled_from([(1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100)]))
-def test_gram_eigenvalue_path_builds_the_eigh_family(seed, shared, own_s, own_t, slack, scales):
-    # p + q <= n: the Gram eigenvalues decide whether the ranges meet, and a
-    # family read off them equals, bit for bit, one built down the eigh path,
-    # which a rank-deficient eigvalsh report forces
+def test_gram_screen_builds_the_eigh_family(spectral_calls, seed, shared, own_s, own_t, slack, scales):
+    # p + q <= n: a Cholesky factorization of the Gram decides whether the
+    # ranges meet, and a family built after it equals, bit for bit, one built
+    # down the eigh path, which an inconclusive screen forces
     assume(shared + own_s >= 1 and shared + own_t >= 1)
     dim = 2 * shared + own_s + own_t + slack
     s, t = _pair_sharing(seed, dim, shared, own_s, own_t)
     s, t = PsdMatrix(scales[0] * s), PsdMatrix(scales[1] * t)
     assert s.rank() + t.rank() == 2 * shared + own_s + own_t
-    calls = []
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            patch.setattr(np.linalg, name, lambda m, _o=original, _n=name: calls.append(_n) or _o(m))
-        fresh = parallel_sum_module._ScaledParallelSums(s, t)
-    assert calls == ["eigvalsh"] + ["eigh"] * (2 if shared else 0)
+    spectral_calls.clear()
+    fresh = parallel_sum_module._ScaledParallelSums(s, t)
+    assert spectral_calls == ["cholesky"] + ["eigh"] * (2 if shared else 0)
     assert fresh._weights.size == shared
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", lambda m: np.zeros(m.shape[0]))
+        patch.setattr(parallel_sum_module, "_eigenvalues_above", lambda array, floor: False)
         forced = parallel_sum_module._ScaledParallelSums(s, t)
     for name in ("_weights", "_mass", "_direction"):
         got, expected = getattr(fresh, name), getattr(forced, name)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the message of the ConsistencyError it raises."""
+    try:
+        return build()
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+# the counter is cleared for each example
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12), k=st.integers(1, 12),
+       above=st.booleans(), mantissa=st.floats(0.5, 1.0, exclude_max=True),
+       power_s=st.integers(-498, 498), power_t=st.integers(-498, 498))
+def test_gram_and_join_screens_agree_with_the_eigensolvers(spectral_calls, seed, dim, k, above,
+                                                           mantissa, power_s, power_t):
+    # rank-one S and T whose scaled factors have one norm, the mantissa, at
+    # an angle theta with tan(theta / 2)^2 = RANK_CUTOFF (1 +- 10^-k): the
+    # ratio of the smallest to the largest eigenvalue of both the engine's
+    # Gram and the range join, each Gram's rank cut, at scales 4^-498..4^498
+    rng = make_rng(seed)
+    q = random_unitary(rng, dim)
+    theta = 2.0 * math.atan(math.sqrt(RANK_CUTOFF * (1.0 + 10.0**-k if above else 1.0 - 10.0**-k)))
+    x, y = q[:, 0], math.cos(theta) * q[:, 0] + math.sin(theta) * q[:, 1]
+    s = PsdMatrix(4.0**power_s * mantissa**2 * np.outer(x, x.conj()))
+    t = PsdMatrix(4.0**power_t * mantissa**2 * np.outer(y, y.conj()))
+    spectral_calls.clear()
+    fresh = _outcome(lambda: parallel_sum_module._ScaledParallelSums(s, t))
+    screened_gram = "eigh" not in spectral_calls
+    singular = _outcome(lambda: is_singular_pair(s, t))
+    with pytest.MonkeyPatch.context() as patch:
+        screens_inconclusive(patch)
+        forced = _outcome(lambda: parallel_sum_module._ScaledParallelSums(s, t))
+        assert _outcome(lambda: is_singular_pair(s, t)) == singular
+    if isinstance(fresh, str):
+        assert forced == fresh
+    else:
+        for name in ("_weights", "_mass", "_direction"):
+            got, expected = getattr(fresh, name), getattr(forced, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+    # the screen decides the Gram alone wherever its smallest eigenvalue
+    # clears 2 RANK_CUTOFF by twice the allowance, and never below that
+    left, _ = parallel_sum_module._ScaledParallelSums._factor(t)
+    right, _ = parallel_sum_module._ScaledParallelSums._factor(s)
+    stacked = np.concatenate([left, right], axis=1)
+    gram = stacked.conj().T @ stacked
+    gram_min = float(np.linalg.eigvalsh(gram / 2 + gram.conj().T / 2)[0])
+    allowance = 2 * 4 * sys.float_info.epsilon * float(np.abs(np.diagonal(gram) - 2 * RANK_CUTOFF).sum())
+    if gram_min > 2 * RANK_CUTOFF + 2 * allowance:
+        assert screened_gram
+    elif gram_min < 2 * RANK_CUTOFF:
+        assert not screened_gram
 
 
 class TestOperandsAtTheirOwnScale:

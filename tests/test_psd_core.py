@@ -1,8 +1,10 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oplebesgue import (
@@ -24,8 +26,16 @@ from oplebesgue import (
     trace,
     trace_norm,
 )
-from oplebesgue.psd_core import SPECTRAL_TOL, _computed_psd, _hermitian_trace_norm
-from conftest import make_rng, random_hermitian, random_psd, random_unitary
+from oplebesgue.psd_core import (
+    PSD_TOL,
+    RANK_CUTOFF,
+    SPECTRAL_TOL,
+    _computed_psd,
+    _eigenvalues_above,
+    _hermitian_trace_norm,
+    _relative_trace_norm,
+)
+from conftest import make_rng, random_hermitian, random_psd, random_unitary, screens_inconclusive
 
 ONES2 = np.ones((2, 2))
 
@@ -231,34 +241,45 @@ class TestLoewner:
             s = random_psd(rng, int(rng.integers(1, 10)))
             assert loewner_leq(np.zeros((s.dim, s.dim)), s)
 
-    def test_psd_upper_operand_reuses_its_spectrum(self, monkeypatch):
-        # lambda_max(b) comes from the cached spectrum: one eigvalsh, of b - a
+    def test_psd_upper_operand_reuses_its_spectrum(self, spectral_calls):
+        # lambda_max(b) comes from the cached spectrum: one Cholesky
+        # factorization of b - a, and its eigvalsh only where that is
+        # inconclusive, here exactly where the answer is no
         rng = make_rng(16)
         pairs = []
         for _ in range(20):
             dim = int(rng.integers(1, 10))
             pairs.append((random_hermitian(rng, dim), random_psd(rng, dim)))
         expected = [loewner_leq(a, b.array) for a, b in pairs]
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        assert 0 < expected.count(False) < len(pairs)
+        spectral_calls.clear()
         assert [loewner_leq(a, b) for a, b in pairs] == expected
-        assert len(calls) == len(pairs)
+        assert spectral_calls == [name for answer in expected
+                                  for name in ["cholesky"] + ["eigvalsh"] * (not answer)]
 
-    def test_exact_zero_difference_needs_no_eigensolve(self, monkeypatch):
+    @pytest.mark.parametrize("a, b, message", [
+        ([[0, 1], [0, 0]], np.eye(2), "not Hermitian"),
+        (np.eye(2), [[0, 1], [0, 0]], "not Hermitian"),
+        ([[1.0]], [[np.inf]], "finite"),
+        ([[np.nan]], [[1.0]], "finite"),
+        (np.eye(2, 3), np.eye(2, 3), "square"),
+    ])
+    def test_raw_operands_are_checked_like_hermitian_input(self, a, b, message):
+        # Cholesky and eigvalsh each read one triangle, so a raw operand that
+        # is not Hermitian, or not finite, would otherwise get a bool answer
+        with pytest.raises(ValidationError, match=message):
+            loewner_leq(a, b)
+
+    def test_exact_zero_difference_needs_no_eigensolve(self, spectral_calls):
         # b - a exactly zero has smallest eigenvalue exactly 0, against a
         # plain array b as against a PsdMatrix
         rng = make_rng(17)
         panel = [random_psd(rng, dim) for dim in (1, 4, 9)] + [PsdMatrix(np.zeros((3, 3)))]
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
-                                calls.append(_n) or _f(*a, **k))
+        spectral_calls.clear()
         for b in panel:
             assert loewner_leq(b, b) and loewner_leq(b.array.copy(), b.array)
         assert loewner_leq(np.zeros((0, 0)), np.zeros((0, 0)))
-        assert calls == []
+        assert spectral_calls == []
 
 
 class TestTraceFunctionals:
@@ -304,37 +325,30 @@ class TestTraceFunctionals:
         m = rng.standard_normal((4, 4))
         assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
 
-    def test_norms_of_psd_read_the_cached_spectrum(self, monkeypatch):
+    def test_norms_of_psd_read_the_cached_spectrum(self, spectral_calls):
         rng = make_rng(21)
         panel = [random_psd(rng, int(rng.integers(1, 12)), rank=None) for _ in range(10)]
         panel.append(PsdMatrix(np.zeros((3, 3))))
         expected = [(np.abs(np.linalg.eigvalsh(a.array)).sum(), np.linalg.norm(a.array, 2))
                     for a in panel]
-        calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
-                                calls.append(_n) or _f(*a, **k))
+        spectral_calls.clear()
         for a, (trace_ref, op_ref) in zip(panel, expected):
             assert trace_norm(a) == pytest.approx(trace_ref, rel=1e-12, abs=1e-12)
             assert op_norm(a) == pytest.approx(op_ref, rel=1e-12, abs=1e-12)
-        assert calls == []
+        assert spectral_calls == []
 
-    def test_hermitian_trace_norm_of_an_exact_zero(self, monkeypatch):
+    def test_hermitian_trace_norm_of_an_exact_zero(self, spectral_calls):
         # an exactly zero finite array has trace norm 0.0 without an
         # eigensolve; a non-finite one stays nan
         zero = np.zeros((4, 4), dtype=complex)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
         assert _hermitian_trace_norm(zero) == 0.0 and _hermitian_trace_norm(zero[:0, :0]) == 0.0
-        assert calls == []
+        assert spectral_calls == []
         for bad in (np.nan, np.inf):
             broken = zero.copy()
             broken[1, 2] = bad
             assert np.isnan(_hermitian_trace_norm(broken))
         assert _hermitian_trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0)
-        assert len(calls) == 1
+        assert spectral_calls == ["eigvalsh"]
 
 
 class TestSqrtRoundTrip:
@@ -536,3 +550,131 @@ class TestComputedFromFactor:
         np.testing.assert_allclose(projection.array @ built.array, built.array, atol=1e-10)
         np.testing.assert_allclose(sqrt_psd(built).array @ sqrt_psd(built).array, built.array,
                                    atol=1e-10)
+
+
+# --- screens ----------------------------------------------------------------
+#
+# A screen decides a certificate without an eigensolve only where the exact
+# solve decides it the same way; elsewhere it is inconclusive and the solve
+# decides.  Each property below places the decisive eigenvalue, trace norm
+# or sine at its threshold times 1 +- 10^-k, at scales from 1e-300 to 1e300.
+
+
+def _allowance(m: np.ndarray, floor: float) -> float:
+    """The Cholesky screen's backward-error allowance for m against floor."""
+    n = m.shape[0]
+    return 2 * (n + 2) * sys.float_info.epsilon * float(np.abs(np.diagonal(m) - floor).sum())
+
+
+def _hermitian_with_spectrum(rng, w, scale):
+    q = random_unitary(rng, len(w))
+    m = scale * (q * w) @ q.conj().T
+    return m / 2 + m.conj().T / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 24), k=st.integers(1, 15),
+       above=st.booleans(), exponent=st.integers(-300, 300),
+       floor=st.sampled_from([0.0, 1e-10, -1e-10, 2e-10, 0.3]))
+def test_cholesky_screen_agrees_with_eigvalsh(seed, dim, k, above, exponent, floor):
+    # the smallest eigenvalue sits at floor (1 +- 10^-k), or at +-10^-k for a
+    # zero floor, below the others, which reach 1; all of it times 10^exponent
+    rng = make_rng(seed)
+    offset = 10.0**-k * (abs(floor) or 1.0)
+    low = floor + offset if above else floor - offset
+    scale = 10.0**exponent
+    m = _hermitian_with_spectrum(rng, np.concatenate([[low, 1.0], rng.uniform(low, 1.0, dim)])[:dim], scale)
+    threshold = scale * floor
+    exact = float(np.linalg.eigvalsh(m)[0])
+    screened = _eigenvalues_above(m, threshold)
+    # the screen never passes what the solve rejects, and it passes whatever
+    # clears the threshold by more than twice its allowance
+    assert not screened or exact > threshold
+    if exact - threshold > 2 * _allowance(m, threshold):
+        assert screened
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 1), (2, 0)])
+def test_cholesky_screen_is_inconclusive_on_non_finite_input(bad, where):
+    m = 4.0 * np.eye(3, dtype=complex)
+    m[where] = m[where[::-1]] = bad
+    assert not _eigenvalues_above(m, 0.0)
+    assert not _eigenvalues_above(np.eye(3), bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 16), k=st.integers(1, 15),
+       above=st.booleans(), exponent=st.integers(-300, 300), cached=st.booleans())
+def test_loewner_screen_agrees_with_the_exact_check(seed, dim, k, above, exponent, cached):
+    # b - a has its smallest eigenvalue at -PSD_TOL lambda_max(b) (1 -+ 10^-k)
+    rng = make_rng(seed)
+    scale = 10.0**exponent
+    b = PsdMatrix(_hermitian_with_spectrum(rng, np.concatenate([[1.0], rng.uniform(0.0, 1.0, dim - 1)]), scale))
+    low = -PSD_TOL * (1.0 - 10.0**-k if above else 1.0 + 10.0**-k)
+    d = _hermitian_with_spectrum(rng, np.concatenate([[low], rng.uniform(low, 1.0, dim - 1)]), scale)
+    a = b.array - d
+    a = a / 2 + a.conj().T / 2
+    upper = b if cached else b.array
+    screened = loewner_leq(a, upper)
+    with pytest.MonkeyPatch.context() as patch:
+        screens_inconclusive(patch)
+        exact = loewner_leq(a, upper)
+    assert screened == exact
+    # outside the allowance the Cholesky factorization alone decides a pass
+    band, difference = PSD_TOL * b.lam_max, b.array - a
+    if float(np.linalg.eigvalsh(difference)[0]) + band > 2 * _allowance(difference, -band):
+        assert _eigenvalues_above(difference, -band)
+
+
+# the counter is cleared for each example
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 24), k=st.integers(1, 15),
+       above=st.booleans(), exponent=st.integers(-300, 290), limit=st.sampled_from([1e-8, 1e-9]))
+def test_trace_norm_screen_agrees_with_eigvalsh(spectral_calls, seed, dim, k, above, exponent, limit):
+    # every |eigenvalue| of X is 10^exponent, so sqrt(n) |X|_F is its trace
+    # norm and the bound is tight; the reference scale puts trace_norm(X) /
+    # scale at limit (1 +- 10^-k)
+    rng = make_rng(seed)
+    size = 10.0**exponent
+    x = _hermitian_with_spectrum(rng, rng.choice([-1.0, 1.0], dim), size)
+    scale = dim * size / (limit * (1.0 + 10.0**-k if above else 1.0 - 10.0**-k))
+    spectral_calls.clear()
+    screened = _relative_trace_norm(x, scale, limit)
+    exact = _hermitian_trace_norm(x) / scale
+    # a value past the limit is the measured one, so the verdicts agree
+    assert (screened <= limit) == (exact <= limit)
+    assert screened <= limit or screened == exact
+    if not above and k <= 11:  # clear of roundoff: the bound decides alone
+        assert spectral_calls == ["eigvalsh"]  # the reference's own, above
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_norm_screen_is_inconclusive_on_non_finite_input(bad):
+    x = np.eye(3, dtype=complex)
+    x[0, 2] = x[2, 0] = bad
+    assert math.isnan(_relative_trace_norm(x, 1.0, 1e-8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), k=st.integers(1, 15),
+       above=st.booleans(), exponent_a=st.integers(-300, 300), exponent_b=st.integers(-300, 300))
+def test_leak_screen_agrees_with_the_singular_value(seed, dim, k, above, exponent_a, exponent_b):
+    # range(a) is one vector at sine sqrt(RANK_CUTOFF) (1 +- 10^-k) from
+    # range(b), so the leak has one column and its Frobenius norm is the sine
+    rng = make_rng(seed)
+    q = random_unitary(rng, dim)
+    rank_b = int(rng.integers(1, dim))
+    inside = q[:, :rank_b] @ rng.standard_normal(rank_b)
+    sine = math.sqrt(RANK_CUTOFF) * (1.0 + 10.0**-k if above else 1.0 - 10.0**-k)
+    v = math.sqrt(1.0 - sine**2) * inside / np.linalg.norm(inside) + sine * q[:, rank_b]
+    a = PsdMatrix(10.0**exponent_a * np.outer(v, v.conj()))
+    b = PsdMatrix(10.0**exponent_b * (q[:, :rank_b] * rng.uniform(0.5, 1.0, rank_b)) @ q[:, :rank_b].conj().T)
+    assert a.rank() == 1 and b.rank() == rank_b
+    screened = range_contained(a, b)
+    with pytest.MonkeyPatch.context() as patch:
+        screens_inconclusive(patch)
+        exact = range_contained(a, b)
+    assert screened == exact
+    if k <= 9:  # clear of the eigenvectors' roundoff
+        assert screened == (not above)
