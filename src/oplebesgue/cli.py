@@ -46,14 +46,13 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_TRUNCATE = 32
-# the supported maximum of --truncate, which sizes a dense n x n operand and its eigh
+# the supported maximum of --truncate, which sizes two dense n x n operands
+# and the iteration's n x n checks; a truncation is built without an eigh
 MAX_TRUNCATE = 2048
 
-# entries of a flat number list per C-encoder call, and characters of report
-# text gathered per write to the output file: a few writes per MB of report,
-# while a batch, its join and its encoded bytes stay small next to the operands
+# entries of a flat number list per C-encoder call, so the text built at once
+# for a long sequence prefix stays small next to the operands
 _SLICE = 4096
-_BATCH = 1 << 18
 
 
 def _fail(message: str, code: int) -> int:
@@ -206,26 +205,13 @@ def _json_key(key) -> str:
 
 
 def _write_report(path: str, report: dict, quiet: bool):
-    """Write ``_pretty(report)`` and a newline as ``_layout`` lays it out:
-    its chunks are gathered into batches of about ``_BATCH`` characters, and
-    each batch goes to the file in one ``write``, so the whole text is never
-    held at once and the number of writes stays small."""
+    """Write ``_pretty(report)`` and a newline, each chunk of ``_layout`` to
+    the file as it comes; the file's own buffer gathers them, so the whole
+    text is never held at once."""
 
     def fill(handle):
-        batch, size = [], 0
-
-        def emit(chunk):
-            nonlocal size
-            batch.append(chunk)
-            size += len(chunk)
-            if size >= _BATCH:
-                handle.write("".join(batch))
-                batch.clear()
-                size = 0
-
-        _layout(report, "\n", emit)
-        batch.append("\n")
-        handle.write("".join(batch))
+        _layout(report, "\n", handle.write)
+        handle.write("\n")
 
     _write_output(path, fill, quiet)
 

@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError, ConsistencyError
-from .psd_core import PsdMatrix
+from .psd_core import PsdMatrix, _with_spectrum
 
 # log of the largest float64: exp overflows past it.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -451,10 +451,17 @@ def counterexample_pair(lam: L1Sequence) -> Tuple[L1Sequence, L1Sequence]:
 
 
 def truncate_to_matrix(x: L1Sequence, n: int) -> PsdMatrix:
-    """Diagonal n x n matrix of the first n values (bridge to the matrix engine)."""
-    if n < 1:
-        raise ValidationError(f"truncation size must be >= 1, got {n}")
-    return PsdMatrix(np.diag(x.values(n)))
+    """Diagonal n x n matrix of the first n values (bridge to the matrix engine).
+
+    Its spectrum is in hand and is not factored: the eigenvalues are the
+    values, rounded as the Hermitian average of the array rounds its
+    diagonal, and the eigenvectors the unit columns, in index order among
+    equal values.  The array is complex, as the input gate makes it."""
+    if not (_is_integer(n) and n >= 1):
+        raise ValidationError(f"truncation size must be an integer >= 1, got {n!r}")
+    values = x.values(n)
+    values = values / 2 + values / 2  # rounded as the stored average rounds: odd subnormals only
+    return _with_spectrum(np.diag(values).astype(complex), values, np.eye(n, dtype=complex))
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -490,6 +497,11 @@ def sequence_from_json(obj) -> L1Sequence:
 def _is_number(value) -> bool:
     """A real number other than a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An integral number other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def sequence_to_json(seq: L1Sequence) -> dict:

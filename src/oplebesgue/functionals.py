@@ -27,6 +27,7 @@ from .diagonal import (
     L1Sequence,
     RatioCertificate,
     _diag_split,
+    _is_integer,
     diag_is_dominated,
     diag_uniqueness,
     sequence_from_json,
@@ -175,7 +176,7 @@ def kvn_sup_estimate(f: NormalFunctional, x, rank_schedule: Sequence[int]) -> Li
         raise ValidationError("the zero functional admits no normalized maximizing family")
     partial = np.cumsum(rep.eigenvalues * np.linalg.norm(arg.array @ rep.spectrum.eigenvectors, axis=0)**2)
     for rank in rank_schedule:
-        if not (isinstance(rank, int) and 1 <= rank <= rep.dim):
+        if not (_is_integer(rank) and 1 <= rank <= rep.dim):
             raise ValidationError(f"rank schedule entries must lie in 1..{rep.dim}, got {rank!r}")
     return [float(partial[rank - 1]) for rank in rank_schedule]
 

@@ -26,6 +26,9 @@ singularity of the remainder and range containment of the regular part, and
 certifies uniqueness: the split is unique iff the regular part is dominated
 by T.  In this finite-dimensional model that always holds -- the certificate
 still performs the check, and a regular part that fails it raises ConsistencyError.
+Every domination constant, the certificate's, ``is_dominated``'s and the
+iteration's last, is found and verified by ``_dominated`` in one frame that
+divides the operands by powers of two, so none leaves the float range.
 
 A certificate that clears its threshold by more than its exact solve's
 roundoff is decided without that solve: the Loewner checks and the ranks of
@@ -47,14 +50,13 @@ from .errors import ConsistencyError, DimensionMismatchError, ValidationError
 from .parallel_sum import _ldexp, _ScaledParallelSums, is_singular_pair
 from .psd_core import (
     CONV_TOL,
-    PSD_TOL,
     RANK_CUTOFF,
     PsdMatrix,
     _computed_psd,
     _leak,
+    _loewner_miss,
     _relative_trace_norm,
     _unit,
-    _with_spectrum,
     loewner_leq,
     op_norm,
     range_contained,
@@ -126,65 +128,50 @@ class LebesgueDecomposition:
     uniqueness: UniquenessCertificate
 
 
-def _frames(candidate: np.ndarray, t: PsdMatrix) -> Tuple[np.ndarray, PsdMatrix, int]:
-    """The frames every domination constant is found and checked in: the
-    candidate divided by its power of two, T by 4^e, whose square root is
-    exact, and the power p with c = c_framed * 2^p.  Both divisors are normal
-    powers of two, so the division of a complex array by them is exact."""
-    unit, t_unit = _unit(candidate), math.ldexp(1.0, max(2 * ((math.frexp(t.lam_max)[1] - 1) // 2), -1022))
-    framed_t = _with_spectrum(t.array / t_unit, t.eigenvalues / t_unit, t.spectrum.eigenvectors)
-    return candidate / unit, framed_t, math.frexp(unit)[1] - math.frexp(t_unit)[1]
+def _dominated(candidate: np.ndarray, t: PsdMatrix,
+               c: Optional[Tuple[float, int]] = None) -> Tuple[float, Optional[dict]]:
+    """(c, None) when the Loewner check accepts candidate <= c T, c rounded to
+    float64 only once it has passed; (inf, miss) when it rejects, miss holding
+    the c, the smallest eigenvalue of c T - candidate and the band that the
+    check measured.
 
-
-def _domination_constant(candidate: np.ndarray, t: PsdMatrix) -> float:
-    """Smallest c with candidate <= c T assuming range containment; inf if the
-    Loewner check rejects it.  Both run in ``_frames``, so nothing leaves the
-    float range; a c above float64 raises, one below it rounds to 0.  An
-    exactly zero candidate has c = 0 against every T."""
+    One frame: the candidate divided by its power of two, T by 4^e, whose
+    square root is exact, and c T - candidate by c's power of two when
+    c >= 1; every divisor is a normal power of two, so nothing leaves the
+    float range, and lambda_max(c T) is read from T's spectrum.  Given as
+    (mantissa, exponent), c enters the frame unrounded, and an infinite one
+    passes unchecked.  Otherwise c is the largest eigenvalue of the candidate
+    compressed by sqrt(T^+) to the range of T (0 against T = 0), and one above
+    float64 raises.  An exactly zero candidate has c = 0 against every T and
+    enters no frame."""
     if not np.any(candidate):
-        return 0.0
-    if t.rank() == 0:
-        return math.inf
-    framed_candidate, framed_t, power = _frames(candidate, t)
-    framed = _framed_constant(framed_candidate, framed_t)
-    if math.isinf(_verified_bound(framed_candidate, framed, framed_t)):
-        return math.inf
-    if math.isinf(c := _ldexp(framed, power)):
+        return 0.0, None
+    unit = _unit(candidate)
+    t_exponent = max(2 * ((math.frexp(t.lam_max)[1] - 1) // 2), -1022)
+    t_unit = math.ldexp(1.0, t_exponent)
+    framed_candidate, framed_w = candidate / unit, t.eigenvalues / t_unit
+    power = math.frexp(unit)[1] - 1 - t_exponent  # c = framed * 2^power
+    if c is None:
+        k = t.rank()
+        inv_root = t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_w[:k]))
+        compressed = inv_root.conj().T @ framed_candidate @ inv_root
+        framed = float(np.linalg.eigvalsh(compressed / 2 + compressed.conj().T / 2).max(initial=0.0))
+    else:
+        framed = _ldexp(c[0], c[1] - power)
+    if math.isinf(framed):
+        return framed, None
+    shrink = max(math.frexp(framed)[1], 0)
+    scale = math.ldexp(framed, -shrink)
+    miss = _loewner_miss(framed_candidate * math.ldexp(1.0, -shrink), scale * (t.array / t_unit),
+                         scale * framed_w)
+    if miss is not None:
+        low, band = (_ldexp(value, power + t_exponent + shrink) for value in miss)
+        return math.inf, {"stage": "domination", "c": _ldexp(framed, power), "min_eigenvalue": low,
+                          "band": band}
+    if math.isinf(bound := _ldexp(framed, power)) and c is None:
         raise ConsistencyError(f"domination constant {framed:.3e} * 2^{power} exceeds float64",
                                details={"stage": "domination", "framed": framed, "power": power})
-    return c
-
-
-def _framed_constant(framed_candidate: np.ndarray, framed_t: PsdMatrix) -> float:
-    """The candidate c in the frames: the largest eigenvalue of the candidate
-    compressed by sqrt(T^+) to the range of T."""
-    k = framed_t.rank()
-    inv_root = framed_t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_t.eigenvalues[:k]))
-    compressed = inv_root.conj().T @ framed_candidate @ inv_root
-    return max(float(np.linalg.eigvalsh(compressed / 2 + compressed.conj().T / 2)[-1]), 0.0)
-
-
-def _domination_miss(candidate: np.ndarray, t: PsdMatrix) -> dict:
-    """What a failed domination check measured, on the failure path only: the
-    candidate c, and the smallest eigenvalue of c T - candidate against the band
-    -PSD_TOL lambda_max(c T) of ``loewner_leq``, in ``_frames`` scaled back."""
-    framed_candidate, framed_t, power = _frames(candidate, t)
-    framed = _framed_constant(framed_candidate, framed_t)
-    unit = _unit(candidate)
-    low = float(np.linalg.eigvalsh(framed * framed_t.array - framed_candidate)[0])
-    return {"stage": "domination", "c": _ldexp(framed, power), "min_eigenvalue": low * unit,
-            "band": -PSD_TOL * framed * framed_t.lam_max * unit}
-
-
-def _verified_bound(candidate: np.ndarray, c: float, t: PsdMatrix) -> float:
-    """c if the Loewner check accepts candidate <= c T, inf otherwise (c = inf passes
-    through).  For c >= 1 both sides are divided by c's power of two, so c T cannot
-    overflow; c T reuses T's spectrum."""
-    if math.isinf(c):
-        return c
-    shrink = math.ldexp(1.0, -max(math.frexp(c)[1], 0))
-    scaled = _with_spectrum(c * shrink * t.array, c * shrink * t.eigenvalues, t.spectrum.eigenvectors)
-    return c if loewner_leq(candidate * shrink, scaled) else math.inf
+    return bound, None
 
 
 def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationTrace]:
@@ -202,9 +189,9 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     broke their own bound and raises ConsistencyError.  Each step is read off
     the engine's weights; the returned approximant is verified densely: above
     the last recorded one in the Loewner order, PSD by construction, and with
-    the last domination constant checked against T in ``_frames``, so it is
-    rounded to float64 only once it has passed; an exactly zero approximant
-    has c = 0 and enters no frame.
+    the last domination constant checked against T by ``_dominated``, so it
+    is rounded to float64 only once it has passed; an exactly zero
+    approximant has c = 0 and enters no frame.
     """
     family = _ScaledParallelSums(s, t)
     threshold = CONV_TOL * trace_norm(s)
@@ -233,12 +220,7 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
                 f"approximant sequence is not monotone at step k={k}",
                 details={"step": k, "gap": step.gap},
             )
-        c_bound = 0.0  # an exactly zero approximant has c = 0 against every T
-        if np.any(current):
-            # c_family / 4^shift, carried into the frames and out again only once checked
-            framed_current, framed_t, power = _frames(current, t)
-            framed = _verified_bound(framed_current, _ldexp(c_family, -2 * family.shift - power), framed_t)
-            c_bound = _ldexp(framed, power)
+        c_bound, _ = _dominated(current, t, (c_family, -2 * family.shift))
         steps.append(replace(step, c_bound=c_bound))
         return limit, IterationTrace(tuple(steps))
     raise ConsistencyError(
@@ -301,9 +283,9 @@ def decompose(s: PsdMatrix, t: PsdMatrix) -> LebesgueDecomposition:
         raise ConsistencyError("regular part leaks outside the range of the reference operator")
     # finite rank forces domination once the ranges are contained, so a
     # missing constant here is a numerical failure, not a non-unique answer
-    if math.isinf(c := _domination_constant(ac.array, t)):
-        miss = {**_domination_miss(ac.array, t),
-                "leak_sine": op_norm(_leak(ac, t)), "leak_threshold": math.sqrt(RANK_CUTOFF)}
+    c, miss = _dominated(ac.array, t)
+    if miss:
+        miss.update(leak_sine=op_norm(_leak(ac, t)), leak_threshold=math.sqrt(RANK_CUTOFF))
         raise ConsistencyError("regular part is not dominated although its range is contained: "
                                "c = {c:.3e}, smallest eigenvalue of c T - ac {min_eigenvalue:.3e} "
                                "against the band {band:.3e}, range leak sine {leak_sine:.3e} "
@@ -321,8 +303,8 @@ def is_dominated(s: PsdMatrix, t: PsdMatrix) -> Optional[float]:
     """
     if s.dim != t.dim:
         raise DimensionMismatchError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    c = _domination_constant(s.array, t)
-    return None if math.isinf(c) else c
+    c, miss = _dominated(s.array, t)
+    return None if miss else c
 
 
 def is_absolutely_continuous(s: PsdMatrix, t: PsdMatrix) -> bool:

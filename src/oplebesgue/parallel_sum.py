@@ -35,11 +35,11 @@ _FILTER_FLOOR = 1e-14
 
 
 def _ldexp(value: float, exponent: int) -> float:
-    """value * 2^exponent: exact inside the float64 range, inf past its top."""
+    """value * 2^exponent: exact inside the float64 range, inf of its sign past its top."""
     try:
         return math.ldexp(value, exponent)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, value)
 
 
 class _ScaledParallelSums:

@@ -13,7 +13,8 @@ rescaling an operator can never change its computed rank.
 ``PsdMatrix(...)`` is the gate for outside input.  Operators the package
 computes are PSD by construction and are never checked like input:
 ``_computed_psd`` builds one from its factor, and ``_with_spectrum`` one
-whose spectrum is a function of an operand's.
+whose spectrum is in hand: a function of an operand's, or a truncated
+sequence's own entries.
 """
 
 from __future__ import annotations
@@ -326,12 +327,26 @@ def loewner_leq(a, b) -> bool:
     """
     arr_a, arr_b = (m.array if isinstance(m, HermitianMatrix) else _checked_hermitian(m) for m in (a, b))
     _require_same_dim(arr_a, arr_b)
-    difference = arr_b - arr_a
+    return _loewner_miss(arr_a, arr_b, b.eigenvalues if isinstance(b, PsdMatrix) else None) is None
+
+
+def _loewner_miss(a: np.ndarray, b: np.ndarray, spectrum_b=None) -> "tuple[float, float] | None":
+    """None when the smallest eigenvalue of b - a, for Hermitian arrays a and
+    b, stays at or above the band -PSD_TOL |b|, with |b| the largest
+    |eigenvalue| of b, read from ``spectrum_b`` when given; otherwise that
+    smallest eigenvalue and the band, as measured.  An exactly zero b - a is
+    decided first, with no spectrum of b; then a shifted Cholesky
+    factorization of b - a decides every clear pass, and the eigenvalue is
+    solved for only when that is inconclusive."""
+    difference = b - a
     if not np.any(difference):
-        return True
-    spectrum_b = b.eigenvalues if isinstance(b, PsdMatrix) else np.linalg.eigvalsh(arr_b)
-    band = PSD_TOL * float(np.abs(spectrum_b).max(initial=0.0))
-    return _eigenvalues_above(difference, -band) or float(np.linalg.eigvalsh(difference)[0]) >= -band
+        return None
+    spectrum_b = np.linalg.eigvalsh(b) if spectrum_b is None else spectrum_b
+    band = -PSD_TOL * float(np.abs(spectrum_b).max(initial=0.0))
+    if _eigenvalues_above(difference, band):
+        return None
+    low = float(np.linalg.eigvalsh(difference)[0])
+    return None if low >= band else (low, band)
 
 
 def trace(matrix) -> float:

@@ -508,8 +508,8 @@ class TestDigests:
 
 class TestOneCopyPerRequest:
     """A request holds one working copy of its operands: each decoded file is
-    dropped once parsed, and the report is written in batches as it is laid
-    out.  Each bound sits midway between the traced peak of a writer that kept
+    dropped once parsed, and the report is written chunk by chunk as it is
+    laid out.  Each bound sits midway between the traced peak of a writer that kept
     the decoded files and the whole report text alive (10.5 MB and 16.1 MB)
     and that of this one (4.7 MB and 8.3 MB)."""
 

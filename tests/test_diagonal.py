@@ -12,6 +12,7 @@ from oplebesgue import (
     ConsistencyError,
     GeometricTail,
     L1Sequence,
+    PsdMatrix,
     ValidationError,
     construct_unbounded_ratio,
     decompose,
@@ -365,6 +366,32 @@ class TestTruncation:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             truncate_to_matrix(HALF, 0)
+
+    @pytest.mark.parametrize("size", [True, 2.5, 2.0, "2"])
+    def test_rejects_a_size_that_is_not_an_integer(self, size):
+        with pytest.raises(ValidationError, match="integer"):
+            truncate_to_matrix(HALF, size)
+
+    def test_accepts_a_numpy_integer_size(self):
+        assert np.array_equal(truncate_to_matrix(HALF, np.int64(3)).array, truncate_to_matrix(HALF, 3).array)
+
+    TIED = L1Sequence((1.0, 1.0, 0.5, 0.0, 1.0, 0.25, 0.25))
+    SUBNORMAL = L1Sequence((1.0, 5e-324, 1.5e-323, 0.0, 7e-323, 2.0 ** -1022, 0.5))
+
+    @pytest.mark.parametrize("x, size", [(HALF, 40), (TIED, 9), (SUBNORMAL, 7), (THIRD, 1)],
+                             ids=["geometric", "tied", "subnormal", "single"])
+    def test_spectrum_in_hand_is_the_gate_s(self, spectral_calls, x, size):
+        # the array and eigenvalues equal those the input gate computes, bit
+        # for bit, an odd subnormal rounded by the Hermitian average included;
+        # the eigenvectors are exact unit columns, in index order among ties
+        spectral_calls.clear()
+        got = truncate_to_matrix(x, size)
+        assert spectral_calls == []
+        gate = PsdMatrix(np.diag(x.values(size)))
+        assert got.array.dtype == gate.array.dtype and np.array_equal(got.array, gate.array)
+        assert np.array_equal(got.eigenvalues, gate.eigenvalues)
+        order = np.argsort(-np.diag(gate.array).real, kind="stable")
+        assert np.array_equal(got.spectrum.eigenvectors, np.eye(size)[:, order])
 
     def test_matrix_engine_agrees_with_diagonal_rules(self):
         rng = make_rng(52)

@@ -340,6 +340,16 @@ class TestKvnEstimate:
         with pytest.raises(ValidationError, match="schedule"):
             kvn_sup_estimate(f_of(np.eye(2)), np.eye(2), [0])
 
+    @pytest.mark.parametrize("rank", [True, 1.0, 2.5])
+    def test_schedule_entry_that_is_not_an_integer_rejected(self, rank):
+        # a bool is not a rank, though True == 1
+        with pytest.raises(ValidationError, match="schedule"):
+            kvn_sup_estimate(f_of(np.eye(2)), np.eye(2), [rank])
+
+    def test_numpy_integer_schedule_entry(self):
+        f = f_of(np.diag([3.0, 2.0, 1.0]))
+        assert kvn_sup_estimate(f, np.eye(3), [np.int64(2)]) == kvn_sup_estimate(f, np.eye(3), [2]) == [5.0]
+
 
 class TestNormalityGap:
     def test_identity(self):

@@ -146,7 +146,7 @@ def dense_steps(s, t, steps):
         out.append((
             float(np.trace(current).real),
             trace_norm(following - current),
-            lebesgue._domination_constant(current, t),
+            lebesgue._dominated(current, t)[0],
         ))
     return out
 
@@ -589,7 +589,7 @@ class TestDomination:
         panel = [random_psd(rng, 8, rank=rank) for rank in (8, 3)] + [zero]
         spectral_calls.clear()
         for t in panel:
-            assert lebesgue._domination_constant(np.zeros((8, 8), dtype=complex), t) == 0.0
+            assert lebesgue._dominated(np.zeros((8, 8), dtype=complex), t) == (0.0, None)
             assert is_dominated(zero, t) == 0.0
         assert spectral_calls == []
 
@@ -706,7 +706,7 @@ class TestSpectralBudget:
         # exactly zero iterates and regular part, which need neither
         assert {name: spectral_calls.count(name) for name in expected} == expected
 
-    def test_verified_bound_reads_lambda_max_of_c_t_from_t(self, spectral_calls):
+    def test_domination_check_reads_lambda_max_of_c_t_from_t(self, spectral_calls):
         rng = make_rng(45)
         cases = []
         for _ in range(20):
@@ -718,37 +718,50 @@ class TestSpectralBudget:
         expected = [c if loewner_leq(a, c * t.array) else np.inf for a, c, t in cases]
         assert 0 < expected.count(np.inf) < len(cases)
         spectral_calls.clear()
-        assert [lebesgue._verified_bound(a, c, t) for a, c, t in cases] == expected
+        assert [lebesgue._dominated(a, t, (c, 0))[0] for a, c, t in cases] == expected
         # one Cholesky factorization of c T - candidate each, and its smallest
         # eigenvalue only where that rejects; never a spectrum of c T
         assert spectral_calls == [name for bound in expected
                                   for name in ["cholesky"] + ["eigvalsh"] * (bound == np.inf)]
 
-    def test_unbounded_constant_raises_in_the_domination_stage(self, monkeypatch):
+    def test_unbounded_constant_raises_in_the_domination_stage(self):
         # a matrix pair whose regular part passed range containment is always
-        # dominated, so a missing constant is a numerical failure; the error
-        # carries the candidate c and the eigenvalue it measured, which here
-        # passes its band, as the real check did
-        monkeypatch.setattr(lebesgue, "_domination_constant", lambda *args: np.inf)
+        # dominated in exact arithmetic, so a rejected constant is a numerical
+        # failure: here the ranges meet at an angle of about 0.05 * 2^-24,
+        # below what float64 resolves.  The error carries the candidate c, the
+        # smallest eigenvalue of c T - ac and the band the check measured
+        s, t = (PsdMatrix(m) for m in _near_degenerate_pair(0, 24))
         with pytest.raises(ConsistencyError, match="not dominated") as excinfo:
-            decompose(ONES, EYE2)
+            decompose(s, t)
         details = excinfo.value.details
-        assert details["stage"] == "domination" and details["c"] == pytest.approx(2.0)
-        assert details["band"] == pytest.approx(-2.0 * psd_core.PSD_TOL)
-        assert details["min_eigenvalue"] >= details["band"]
+        assert details["stage"] == "domination" and 0.0 < details["c"] < np.inf
+        assert details["band"] == pytest.approx(-psd_core.PSD_TOL * details["c"] * t.lam_max, rel=1e-15)
+        low = np.linalg.eigvalsh(details["c"] * t.array - ac_part_closed(s, t).array)[0]
+        assert details["min_eigenvalue"] == pytest.approx(low, rel=1e-9)
+        assert details["min_eigenvalue"] < details["band"]
         # the range containment it passed, measured on the failure path
         assert details["leak_sine"] <= details["leak_threshold"] == math.sqrt(psd_core.RANK_CUTOFF)
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100)])
     def test_singular_pair_frames_nothing(self, monkeypatch, alpha, beta):
         # the approximants of a pair whose ranges meet trivially are exact
-        # zeros, with c = 0 against T: no frame and no Loewner check of c T
+        # zeros, with c = 0 against T: no frame and no Loewner check of c T,
+        # so the zero approximant makes no Cholesky factorization or eigvalsh
         s, t = structured_pair("singular", 32, 3)
         s, t = PsdMatrix(alpha * s), PsdMatrix(beta * t)
-        for name in ("_frames", "_verified_bound"):
-            monkeypatch.setattr(lebesgue, name, lambda *args, _n=name: pytest.fail(f"{_n} entered"))
+        dominated, calls = lebesgue._dominated, []
+
+        def counted(candidate, reference, c=None):
+            calls.append("_dominated")
+            with monkeypatch.context() as patch:
+                for name in ("cholesky", "eigvalsh"):
+                    patch.setattr(np.linalg, name, lambda *args, _n=name: calls.append(_n))
+                return dominated(candidate, reference, c)
+
+        monkeypatch.setattr(lebesgue, "_dominated", counted)
         limit, record = lebesgue.ac_part_iterative(s, t)
         assert not np.any(limit.array) and record.steps[-1].c_bound == 0.0
+        assert calls == ["_dominated"]
 
 
 def _near_degenerate_pair(seed, j):

@@ -115,7 +115,7 @@ class TestWriterMatchesStdlib:
 
 class TestStreamedWriter:
     """The report writer lays out float arrays row by row, hands long number
-    lists to the C encoder in slices, and writes the text in batches."""
+    lists to the C encoder in slices, and writes each chunk as it comes."""
 
     @pytest.mark.parametrize("arr", [
         np.array([[-0.0, math.nan], [math.inf, -math.inf]]),
@@ -165,26 +165,14 @@ class TestStreamedWriter:
 
         return Handle
 
-    def test_text_goes_out_in_batches(self, tmp_path, monkeypatch):
-        writes = []
-        monkeypatch.setattr(cli, "_BATCH", 1000)
-        monkeypatch.setattr(cli, "open", self.recording_open(writes), raising=False)
-        target = tmp_path / "r.json"
-        cli._write_report(str(target), self.report(), quiet=True)
-        text = _stdlib(_as_lists(self.report())) + "\n"
-        assert target.read_text(encoding="utf-8") == text
-        assert len(writes) > 2 and all(size >= 1000 for size in writes[:-1])
-        assert len(writes) <= len(text) // 1000 + 1
-
-    def test_failure_after_the_first_batch_leaves_the_old_report(self, tmp_path, monkeypatch):
+    def test_failure_after_the_first_write_leaves_the_old_report(self, tmp_path, monkeypatch):
         writes = []
         target = tmp_path / "r.json"
         target.write_text("previous report\n")
-        monkeypatch.setattr(cli, "_BATCH", 1000)
         monkeypatch.setattr(cli, "open", self.recording_open(writes, fail_after=1), raising=False)
         with pytest.raises(ValidationError, match=f"cannot write {re.escape(str(target))}: No space"):
             cli._write_report(str(target), self.report(), quiet=True)
-        assert writes and writes[0] >= 1000
+        assert len(writes) == 1
         assert target.read_text() == "previous report\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json"]
 
