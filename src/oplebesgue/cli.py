@@ -365,9 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser depends on no input and parsing leaves it as it was, so the
+# first main call builds it and every later call in the process reuses it
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except ValidationError as exc:

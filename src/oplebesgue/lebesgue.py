@@ -185,8 +185,12 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     sum_i d_i (1 - a_i) / (a_i ((1 - a_i) + m a_i)) <= sum_i (d_i / a_i^2) / m,
     so step k, which compares m = 2^(k+1) against the threshold, stops by
     K = ceil(log2(sum_i (d_i / a_i^2) / threshold)), a ratio of two multiples
-    of trace(S) and 0 for S = 0.  Running past K means the certified weights
-    broke their own bound and raises ConsistencyError.  Each step is read off
+    of trace(S) and 0 for S = 0.  Both the distances and the threshold are
+    taken in the engine's frame, S divided by a power of two that brings
+    trace(S) into [1/4, n), so neither underflows for a subnormal S and K is
+    the same as in S's own units wherever those stay normal.  Running past K
+    means the certified weights broke their own bound and raises
+    ConsistencyError.  Each step is read off
     the engine's weights; the returned approximant is verified densely: above
     the last recorded one in the Loewner order, PSD by construction, and with
     the last domination constant checked against T by ``_dominated``, so it
@@ -194,7 +198,7 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     approximant has c = 0 and enters no frame.
     """
     family = _ScaledParallelSums(s, t)
-    threshold = CONV_TOL * trace_norm(s)
+    threshold = CONV_TOL * family.framed(trace_norm(s))
     reach = family.reach(threshold)
     bound = max(0, math.ceil(math.log2(reach))) if reach else 0
     steps: List[IterationStep] = []
@@ -205,7 +209,7 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
             k=k,
             scale=_ldexp(m, -2 * family.shift),
             trace=family.trace_at(m),
-            gap=family.gap(m, 2.0 * m),
+            gap=family.unframed(family.gap(m, 2.0 * m)),
             c_bound=_ldexp(c_family, -2 * family.shift),
             family=family,
         )
@@ -223,6 +227,7 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
         c_bound, _ = _dominated(current, t, (c_family, -2 * family.shift))
         steps.append(replace(step, c_bound=c_bound))
         return limit, IterationTrace(tuple(steps))
+    remaining, threshold = family.unframed(remaining), family.unframed(threshold)
     raise ConsistencyError(
         f"monotone approximation passed its derived bound of K={bound} scale doublings "
         f"(distance to the limit {remaining:.3e}, threshold {threshold:.3e})",
@@ -315,7 +320,11 @@ def is_absolutely_continuous(s: PsdMatrix, t: PsdMatrix) -> bool:
     assumed, and a mismatch raises ConsistencyError.
     """
     sing = decompose(s, t).sing
-    vanishes = trace_norm(sing) <= CONV_TOL * trace_norm(s)
+    # both sides divided by the power of two of trace_norm(S), so the
+    # threshold does not underflow for a subnormal S
+    size = trace_norm(s)
+    unit = _unit(size)
+    vanishes = trace_norm(sing) / unit <= CONV_TOL * (size / unit)
     included = range_contained(s, t)
     if vanishes != included:
         raise ConsistencyError(

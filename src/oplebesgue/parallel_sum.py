@@ -49,21 +49,27 @@ class _ScaledParallelSums:
     divided by the exact power of two u_T, u_S that puts its largest singular
     value in [1/2, 1), so (n T) : S = u_S^2 (m T') : S' with m = n 4^shift
     exactly for the integer ``shift``.  Every method takes m and answers in
-    S's units; m = None is the unit member n = 1, whose m may leave the float
-    range.  The Gram matrix of [L' R'] yields an orthonormal basis W = [W1; W2]
-    of its range.  With a_i, U the eigenpairs of W1* W1, each component has one
+    S's units, but ``gap`` and ``reach``, which answer in the frame;
+    m = None is the unit member n = 1, whose m may leave the float range.
+    The Gram matrix of [L' R'] yields an orthonormal basis W = [W1; W2] of
+    its range.  With a_i, U the eigenpairs of W1* W1, each component has one
     basis image Y_i = [L' R'] (W U)_i, no shorter than the smallest kept
     singular value of [L' R'], and one weight in the filter
     phi_i(m) = m / ((1 - a_i) + m a_i), through which alone the scale enters:
 
         (m T') : S'  =  sum_i phi_i(m) a_i (1 - a_i) Y_i Y_i*.
 
-    Directions Y_i / |Y_i|, traces d_i = a_i (1 - a_i) |Y_i|^2 u_S^2 and the
-    domination constants are read off a_i and Y_i alone, in O(r) per member
-    and uniformly accurate in n.  Components with a_i = 0 have no part in T
-    (F_i = 0) and are dropped, which keeps the limit n -> inf finite; a_i in (0, 1]
-    makes phi_i nondecreasing, so the family is Loewner-monotone with steps of
-    trace norm sum_i (phi_i(m) - phi_i(n)) d_i.  The split Y_i = F_i + H_i,
+    Directions Y_i / |Y_i|, traces d_i = a_i (1 - a_i) |Y_i|^2 in the frame
+    and the domination constants are read off a_i and Y_i alone, in O(r) per
+    member and uniformly accurate in n.  They are kept in the frame, where
+    trace(S') lies in [1/4, n), and meet S's units, a factor u_S^2 or u_T^2,
+    only in what a method returns; so the monotone scheme's stopping distances
+    and a threshold relative to trace(S') stay normal floats, and a factor
+    sqrt(phi_i d_i) u stays exact, even for an S whose entries are subnormal.
+    Components with a_i = 0 have no part in T (F_i = 0) and are dropped,
+    which keeps the limit n -> inf finite; a_i in (0, 1] makes phi_i
+    nondecreasing, so the family is Loewner-monotone with steps of trace norm
+    sum_i (phi_i(m) - phi_i(n)) d_i.  The split Y_i = F_i + H_i,
     F = L' W1 U = a Y and H = R' W2 U = (1 - a) Y in exact arithmetic, is
     certified once at construction and decides which components carry weight.
 
@@ -84,6 +90,7 @@ class _ScaledParallelSums:
         left, unit_t = self._factor(t)
         right, unit_s = self._factor(s)
         self.shift = math.frexp(unit_t)[1] - math.frexp(unit_s)[1]
+        self._unit_s, self._unit_t = unit_s, unit_t
         self._lam_s, self._lam_t = s.lam_max, t.lam_max
         p = left.shape[1]
         stacked = np.concatenate([left, right], axis=1)
@@ -114,7 +121,7 @@ class _ScaledParallelSums:
         image = self._front[:, carried] + self._back[:, carried]
         norm = np.linalg.norm(image, axis=0)
         self._direction = image / norm
-        self._mass = a * (1.0 - a) * norm**2 * unit_s * unit_s  # u_S^2 itself can overflow
+        self._mass = a * (1.0 - a) * norm**2
         del self._front, self._back  # the certificate's inputs, not kept
 
     @staticmethod
@@ -160,19 +167,20 @@ class _ScaledParallelSums:
             )
         return psd_term & (mass > 0.0) & (a < 1.0)
 
-    def _filter(self, m: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
-        """phi_i(m) = 1 / ((1 - a_i) / m + a_i), 1 / a_i at m = inf, with the d_i
-        it weighs.  The unit member at m = 4^shift < 1 gives phi_i(m) / m
-        against d_i m instead, so an m that underflows is never multiplied in."""
+    def _filter(self, m: Optional[float]) -> Tuple[np.ndarray, float]:
+        """phi_i(m) = 1 / ((1 - a_i) / m + a_i), 1 / a_i at m = inf, with the
+        power of two u whose square brings phi_i d_i to S's units, u_S.  The
+        unit member at m = 4^shift < 1 gives phi_i(m) / m against u_T instead,
+        u_T^2 = u_S^2 m, so an m that underflows is never multiplied in."""
         a, unit = self._weights, _ldexp(1.0, 2 * self.shift)
         if m is None and self.shift < 0:
-            return 1.0 / ((1.0 - a) + unit * a), np.ldexp(self._mass, 2 * self.shift)
-        return 1.0 / ((1.0 - a) / (unit if m is None else m) + a), self._mass
+            return 1.0 / ((1.0 - a) + unit * a), self._unit_t
+        return 1.0 / ((1.0 - a) / (unit if m is None else m) + a), self._unit_s
 
     def factor_at(self, m: Optional[float]) -> np.ndarray:
         """A factor X of the member at m, X X* = (n T) : S."""
-        phi, mass = self._filter(m)
-        return self._direction * np.sqrt(phi * mass)
+        phi, unit = self._filter(m)
+        return self._direction * (np.sqrt(phi * self._mass) * unit)
 
     def at_scale(self, m: float) -> np.ndarray:
         """The member at filter argument m as a Hermitian array."""
@@ -188,11 +196,20 @@ class _ScaledParallelSums:
 
     def trace_at(self, m: Optional[float]) -> float:
         """The trace of the member at m."""
-        phi, mass = self._filter(m)
-        return float(phi @ mass)
+        phi, unit = self._filter(m)
+        return float(phi @ self._mass) * unit * unit  # u^2 itself can overflow
+
+    def unit_trace_within(self, tolerance: float, size: float) -> bool:
+        """Whether trace(S : T) <= tolerance * size, for a size in S's units.
+        Both sides are compared in the frame of the unit member's u, the
+        smaller of u_S and u_T, where a nonzero trace of S or of T is at
+        least 1/4, so neither side underflows."""
+        phi, unit = self._filter(None)
+        return float(phi @ self._mass) <= tolerance * (size / unit / unit)
 
     def gap(self, m: float, larger: float) -> float:
-        """Trace norm of the member at ``larger`` minus the member at m.
+        """Trace norm of the member at ``larger`` minus the member at m, in
+        the frame: divided by u_S^2, so it does not underflow.
 
         The filter increment is written as (1 - m/M)(1 - a) / (((1 - a)/M + a)
         ((1 - a) + m a)), a product of nonnegative factors, so the gap is
@@ -204,10 +221,19 @@ class _ScaledParallelSums:
         increment = (1.0 - m / larger) * (1.0 - a) / (((1.0 - a) / larger + a) * ((1.0 - a) + m * a))
         return float(increment @ self._mass)
 
+    def framed(self, value: float) -> float:
+        """A trace in S's units brought to the frame: value / u_S^2, exact for
+        a subnormal value too."""
+        return value / self._unit_s / self._unit_s
+
+    def unframed(self, value: float) -> float:
+        """A trace in the frame brought back to S's units: value * u_S^2."""
+        return value * self._unit_s * self._unit_s
+
     def reach(self, threshold: float) -> float:
-        """sum_i (d_i / threshold) / a_i^2, which bounds m / threshold times the
-        distance to the limit at filter argument m, sum_i d_i (1 - a_i) /
-        (a_i ((1 - a_i) + m a_i)); d_i / a_i^2 alone can overflow."""
+        """sum_i (d_i / threshold) / a_i^2 for a threshold in the frame, which
+        bounds m / threshold times ``gap(m, inf)``, sum_i d_i (1 - a_i) /
+        (a_i ((1 - a_i) + m a_i)) in the frame; d_i / a_i^2 alone can overflow."""
         return float(np.sum(self._mass / threshold / self._weights**2))
 
     def domination_at(self, m: float) -> float:
@@ -232,8 +258,7 @@ def _singularity(s: PsdMatrix, t: PsdMatrix) -> Tuple[bool, _ScaledParallelSums]
     """The singularity verdict of ``is_singular_pair`` with the parallel-sum
     family it was read from."""
     family = _ScaledParallelSums(s, t)
-    mean_trace = family.trace_at(None)
-    trace_says = mean_trace <= CONV_TOL * min(trace(s), trace(t))
+    trace_says = family.unit_trace_within(CONV_TOL, min(trace(s), trace(t)))
 
     k_s, k_t = s.rank(), t.rank()
     bases = np.concatenate([s.spectrum.eigenvectors[:, :k_s], t.spectrum.eigenvectors[:, :k_t]], axis=1)
@@ -252,7 +277,7 @@ def _singularity(s: PsdMatrix, t: PsdMatrix) -> Tuple[bool, _ScaledParallelSums]
             "singularity criteria disagree: trace of parallel sum says "
             f"{trace_says}, range intersection of dimension {intersection_dim} says "
             f"{range_says}; tolerances are misconfigured for this pair",
-            details={"parallel_sum_trace": mean_trace, "intersection_dim": intersection_dim},
+            details={"parallel_sum_trace": family.trace_at(None), "intersection_dim": intersection_dim},
         )
     return trace_says, family
 
@@ -262,14 +287,16 @@ def is_singular_pair(s: PsdMatrix, t: PsdMatrix) -> bool:
 
     Primary criterion: trace(s:t) below CONV_TOL times the smaller input trace
     (s:t lies below both), read off the weights of the factored parallel sum
-    without forming it.  Cross-checked against dim(range s intersect range t)
-    = 0 computed from the range projections, each rank taken at its operand's
-    own scale; disagreement between the two raises ConsistencyError,
-    signalling a tolerance misconfiguration rather than an answer.  The rank
-    of P_s + P_t is read off the Gram matrix of the two range bases, which
-    has the same nonzero eigenvalues: a shifted Cholesky factorization
-    certifies full rank when every eigenvalue clears the cut at the bound 2
-    on lambda_max, and the eigenvalues are computed only when it cannot.
+    without forming it and compared in the engine's frame, so a subnormal
+    operand's trace does not round the verdict.  Cross-checked against
+    dim(range s intersect range t) = 0 computed from the range projections,
+    each rank taken at its operand's own scale; disagreement between the two
+    raises ConsistencyError, signalling a tolerance misconfiguration rather
+    than an answer.  The rank of P_s + P_t is read off the Gram matrix of the
+    two range bases, which has the same nonzero eigenvalues: a shifted
+    Cholesky factorization certifies full rank when every eigenvalue clears
+    the cut at the bound 2 on lambda_max, and the eigenvalues are computed
+    only when it cannot.
     """
     return _singularity(s, t)[0]
 

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -6,6 +7,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -612,6 +615,12 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    def test_import_builds_no_parser(self):
+        # the parser is built by the first main call, not on import
+        proc = subprocess.run([sys.executable, "-c", "import oplebesgue.cli as c; print(c._PARSER)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "None\n", proc.stderr
+
     def test_quiet_flag_silences_stdout(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, stdout, _ = run_cli(["--quiet", "decompose", DATA / "s_ones.json",
@@ -716,3 +725,146 @@ class TestScreens:
             assert screened == exact, f"{s_path.name}, {t_path.name}"
             codes.add(screened[0])
         assert codes == {0, 3}  # the panel reaches a numerical failure too
+
+
+class TestParserReuse:
+    """main builds its parser on its first call and parses every later call
+    with that same parser, which no call leaves changed for the next."""
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+
+        class Counted(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        # argparse's own __init__ looks ArgumentParser up in its module, so
+        # the counting class is handed to the CLI module alone
+        monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=Counted,
+                                                                   SUPPRESS=argparse.SUPPRESS))
+        for _ in range(5):
+            code, out, err = run_cli(["check-unique", DATA / "s_ones.json", DATA / "t_diag10.json"], capsys)
+            assert code == 0 and err == "" and json.loads(out)["unique"] is True
+        # the parser and its four subcommand parsers, all during the first call
+        assert built.count("oplebesgue") == 1 and len(built) == 5
+        assert isinstance(cli._PARSER, Counted)
+
+    def test_an_option_does_not_carry_into_the_next_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        pair = [DATA / "lam_half.json", DATA / "lam_half.json"]  # infinite support: the size shows
+        first, short, plain = tmp_path / "first.csv", tmp_path / "short.csv", tmp_path / "plain.csv"
+        explicit = tmp_path / "explicit.csv"
+        assert run_cli(["--quiet", "converge-report", *pair, first], capsys)[0] == 0
+        assert run_cli(["--quiet", "--truncate", "4", "converge-report", *pair, short], capsys)[0] == 0
+        assert run_cli(["--quiet", "converge-report", *pair, plain], capsys)[0] == 0
+        assert run_cli(["--quiet", "--truncate", "32", "converge-report", *pair, explicit], capsys)[0] == 0
+        assert short.read_bytes() != first.read_bytes()
+        assert plain.read_bytes() == first.read_bytes() == explicit.read_bytes()
+
+    def test_a_rejected_command_line_changes_no_later_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+
+        def outputs():
+            report = tmp_path / "report.json"
+            code, out, err = run_cli(["--quiet", "decompose", DATA / "s_ones.json",
+                                      DATA / "t_diag10.json", report], capsys)
+            body = json.loads(report.read_text())
+            body.pop("timing")
+            verdict = run_cli(["check-unique", DATA / "s_seq.json", DATA / "t_seq.json"], capsys)
+            return code, out, err, body, verdict
+
+        before = outputs()
+        for argv in (["frobnicate"], ["--truncate", "x", "converge-report", "a", "b", "c"],
+                     ["decompose", "only-one-path"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].startswith("oplebesgue")
+        assert outputs() == before
+
+
+class TestSubnormalOperand:
+    """An operand whose trace is below the smallest normal float answers like
+    any other: the monotone schedule's stop test runs in the engine's frame."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        tiny, unit = tmp_path / "tiny.json", tmp_path / "unit.json"
+        tiny.write_text('{"dim":1,"real":[[1e-320]]}')
+        unit.write_text('{"dim":1,"real":[[1.0]]}')
+        return tiny, unit
+
+    @pytest.mark.parametrize("against, expected", [("unit", '{"c": 1e-320, "unique": true}\n'),
+                                                   ("tiny", '{"c": 1.0, "unique": true}\n')])
+    def test_every_pair_command_exits_0(self, paths, tmp_path, capsys, against, expected):
+        tiny, unit = paths
+        t_path = unit if against == "unit" else tiny
+        assert run_cli(["check-unique", tiny, t_path], capsys) == (0, expected, "")
+        out = tmp_path / "report.json"
+        assert run_cli(["--quiet", "decompose", tiny, t_path, out], capsys) == (0, "", "")
+        body = json.loads(out.read_text())["decomposition"]
+        assert body["unique"] is True and body["c"] == json.loads(expected)["c"]
+        assert body["ac"]["real"] == [[1e-320]] and body["sing"]["real"] == [[0.0]]
+        csv_path = tmp_path / "trace.csv"
+        assert run_cli(["--quiet", "converge-report", tiny, t_path, csv_path], capsys) == (0, "", "")
+        assert csv_path.read_text().startswith("k,n,gap_trace,c_bound\n0,1,")
+
+
+def _float_range_pairs(count, seed):
+    """(s, t, complex) for ``count`` PSD pairs with n <= 3, each side of any
+    rank, scaled by 2^k with k from -1074 to 1023: half of the scales uniform
+    over that range, half near either end of it.  Pairs share a direction
+    half of the time, so ac is often nonzero."""
+    rng = np.random.default_rng(seed)
+    bands = [(-1074, 1024), (-1074, 1024), (-1074, -1000), (950, 1024)]
+    for _ in range(count):
+        n, cplx = int(rng.integers(1, 4)), bool(rng.integers(0, 2))
+        shared = rng.standard_normal(n) if rng.integers(0, 2) else None
+        sides = []
+        for _ in range(2):
+            rank = int(rng.integers(0, n + 1))
+            g = rng.standard_normal((n, rank)) + (1j * rng.standard_normal((n, rank)) if cplx else 0)
+            if shared is not None and rank:
+                g[:, 0] = shared
+            m = g @ g.conj().T
+            top = np.abs(m).max(initial=0.0)
+            m = m / top if top else m
+            low, high = bands[int(rng.integers(0, 4))]
+            k = int(rng.integers(low, high))
+            sides.append(np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k))
+        yield sides[0], sides[1], cplx
+
+
+class TestExitCodesAcrossTheFloatRange:
+    """Every pair command on every valid or invalid pair exits 0, 2 or 3:
+    0 with nothing on stderr, 2 or 3 with exactly one error: line, never a
+    traceback or a RuntimeWarning, whatever power of two scales each side."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scale_sweep(self, tmp_path, capsys, seed):
+        s_path, t_path, out = tmp_path / "s.json", tmp_path / "t.json", tmp_path / "out"
+        codes = {0: 0, 2: 0, 3: 0}
+        for s, t, cplx in _float_range_pairs(100, seed):
+            for path, m in ((s_path, s), (t_path, t)):
+                obj = {"dim": m.shape[0], "real": m.real.tolist()}
+                if cplx:
+                    obj["imag"] = m.imag.tolist()
+                path.write_text(json.dumps(obj))
+            for command in ("decompose", "check-unique", "converge-report"):
+                argv = ["--quiet", command, s_path, t_path] + ([] if command == "check-unique" else [out])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, _, err = run_cli(argv, capsys)
+                where = f"{command} on {s_path.read_text()} and {t_path.read_text()}"
+                assert code in codes, where
+                codes[code] += 1
+                if code == 0:
+                    assert err == "", where
+                else:
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error: "), where
+        # most calls answer; past float64's top, a trace norm exits 2 and a
+        # domination constant exits 3
+        assert codes[0] > 200

@@ -79,14 +79,17 @@ class TestIterative:
     def test_record_stops_at_first_step_within_threshold(self):
         # the record ends at the first k whose distance to the limit is within
         # conv_tol * trace_norm(S), and that k is at most the derived bound
-        # K = ceil(log2(sum_i d_i / a_i^2 / threshold))
+        # K = ceil(log2(sum_i d_i / a_i^2 / threshold)); distances and
+        # threshold are taken in the engine's frame, which here differs from
+        # S's units by an exact power of two
         rng = make_rng(33)
         for dim in (3, 5, 8):
             s = random_psd(rng, dim)
             t = random_psd(rng, dim, rank=dim - 1)
             _, record = ac_part_iterative(s, t)
             family = _ScaledParallelSums(s, t)
-            threshold = CONV_TOL * trace_norm(s)
+            threshold = CONV_TOL * family.framed(trace_norm(s))
+            assert family.unframed(threshold) == CONV_TOL * trace_norm(s)
             distances = [family.gap(2.0 ** (step.k + 1), np.inf) for step in record.steps]
             assert all(d > threshold for d in distances[:-1]) and distances[-1] <= threshold
             assert [step.k for step in record.steps] == list(range(len(record.steps)))
@@ -111,7 +114,7 @@ class TestIterative:
         np.testing.assert_allclose(dec.ac.array, np.eye(2), rtol=0, atol=1e-12)
         assert dec.uniqueness.c == pytest.approx(1.0 / floor, rel=1e-12)
         family = _ScaledParallelSums(EYE2, t)
-        bound = math.ceil(math.log2(family.reach(CONV_TOL * 2.0)))
+        bound = math.ceil(math.log2(family.reach(CONV_TOL * family.framed(2.0))))
         assert len(dec.trace_of_iteration.steps) <= bound
 
     def test_zero_reference(self):
@@ -800,3 +803,49 @@ class TestNearDegeneratePanel:
                 assert dec.uniqueness.unique, f"seed {seed}, j = {j}: unique = false"
         # the panel reaches the failure that used to answer unique = false
         assert "domination" in stages
+
+
+class TestSubnormalOperands:
+    """An S whose trace is below the smallest normal float: the stopping
+    distances and threshold are taken in the engine's frame, so none of them
+    underflows and the schedule is the one of the same pair at unit scale."""
+
+    def test_record_is_the_unit_record_scaled_once(self):
+        # 2^-1060 passes the gate exactly and its root, 2^-530, is exact: the
+        # frame is the unit pair's bit for bit, so the schedule and every
+        # step's constant from the weights agree, and each trace and gap is
+        # the unit one times 2^-1060, rounded once into the subnormal range
+        unit_ac, unit = ac_part_iterative(PsdMatrix([[1.0]]), PsdMatrix([[1.0]]))
+        tiny = PsdMatrix([[2.0**-1060]])
+        ac, record = ac_part_iterative(tiny, tiny)
+        assert len(record.steps) == len(unit.steps) == 30
+        assert [(s.k, s.c_bound) for s in record.steps[:-1]] == [(s.k, s.c_bound) for s in unit.steps[:-1]]
+        assert [(s.trace, s.gap) for s in record.steps] == [
+            (math.ldexp(s.trace, -1060), math.ldexp(s.gap, -1060)) for s in unit.steps]
+        assert ac.array[0, 0] == math.ldexp(unit_ac.array[0, 0].real, -1060)
+
+    @pytest.mark.parametrize("t_entry, c", [(1.0, 1e-320), (1e-320, 1.0)])
+    def test_decompose_answers(self, t_entry, c):
+        s = PsdMatrix([[1e-320]])
+        dec = decompose(s, PsdMatrix([[t_entry]]))
+        assert dec.uniqueness.unique and dec.uniqueness.c == pytest.approx(c, rel=1e-3)
+        assert np.array_equal(dec.ac.array, s.array) and not np.any(dec.sing.array)
+        assert is_absolutely_continuous(s, PsdMatrix([[t_entry]]))
+
+    def test_complex_pair_at_the_smallest_subnormal(self):
+        # entries that are small integers times 2^-1074 carry a few bits
+        # each; S against itself is dominated with c = 1 to those bits
+        x = np.array([[39, -68 + 23j], [-68 - 23j, 134]])
+        s = PsdMatrix(np.ldexp(x.real, -1074) + 1j * np.ldexp(x.imag, -1074))
+        dec = decompose(s, s)
+        assert dec.uniqueness.unique and dec.uniqueness.c == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("power", [0, -1074])
+    def test_singular_part_is_measured_against_a_framed_threshold(self, power):
+        # S = diag(19.7e9, 20) against T = diag(1, 0): the singular part's
+        # share of trace(S) is 1.015e-9, just above CONV_TOL, and S's range
+        # is not in range T; at 2^-1074 the threshold in S's units, 19.7 units
+        # of the smallest subnormal, would round to 20 and call it vanishing
+        s = PsdMatrix(np.diag([math.ldexp(19.7e9, power), math.ldexp(20, power)]))
+        assert not is_absolutely_continuous(s, DIAG10)
+        assert is_absolutely_continuous(s, PsdMatrix(np.eye(2)))

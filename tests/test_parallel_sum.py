@@ -420,3 +420,20 @@ class TestOperandsAtTheirOwnScale:
             family = parallel_sum_module._ScaledParallelSums(s, t)
             error = trace_norm(family.at_scale(2.0**200) - s.array)
             assert error <= 1e-12 * trace_norm(s), f"n={s.dim}: {error:.3e}"
+
+
+class TestSingularityAtSubnormalScale:
+    """The trace criterion compares trace(S : T) with CONV_TOL times the
+    smaller trace in the engine's frame, so its verdict does not move when S
+    is scaled into the subnormal range by a power of two that keeps it exact."""
+
+    @pytest.mark.parametrize("entry, singular", [(20, False), (0, True)])
+    @pytest.mark.parametrize("power", [0, -500, -1000, -1074])
+    def test_verdict_matches_unit_scale(self, entry, singular, power):
+        # S = diag(19.7e9, entry) against T = diag(0, 1): trace(S : T) over
+        # the smaller trace is 1.015e-9 for entry 20, just above CONV_TOL =
+        # 1e-9 and above the rank cut, so both criteria say not singular; at
+        # 2^-1074 the threshold in S's units, 19.7 units of the smallest
+        # subnormal, would round to 20 of them and call the pair singular
+        s = PsdMatrix(np.diag([math.ldexp(19.7e9, power), math.ldexp(entry, power)]))
+        assert is_singular_pair(s, PsdMatrix(np.diag([0.0, 1.0]))) is singular
