@@ -18,8 +18,9 @@ decomposition, domination, uniqueness and the counterexample check all read.
 It reads only what the answer needs: the runs of the base's support go
 wholesale to one part as slices of the other sequence's prefix; on the base's
 tail the support is known in closed form down to 2^-1000, so the scalar tail
-rule runs only past it; and the base's tail values are built for the ratio
-only when the tails leave it bounded.
+rule runs only past it; and the base's tail values are read for the ratio
+only when the tails leave it bounded, screened as one array, with the scalar
+rule run only where the screen cannot decide.
 
 Ratios and witnesses are evaluated in log scale, so they stay checkable where
 the values underflow float64.  The counterexample companion is the base's own
@@ -170,7 +171,9 @@ class L1Sequence:
 
     def _tail(self, offsets: Iterable[int]) -> Tuple[float, ...]:
         """Tail values a * r**j at offsets j >= 1 by the scalar pow, the one rule
-        past the prefix: numpy's vectorized pow differs from it in the last bit."""
+        past the prefix: numpy's vectorized pow differs from it in the last
+        bit.  ``_bounded_sup`` screens a ratio without it and calls it only on
+        the offsets inside the screen's roundoff band."""
         a, r = self.tail.a, self.tail.r
         return tuple(a * r ** j for j in offsets)
 
@@ -309,19 +312,49 @@ def _bounded_sup(s_a: L1Sequence, t: L1Sequence, on_t: np.ndarray, sure: int,
                  past: Tuple[float, ...], tail_carried: bool) -> float:
     """The supremum of the ratio s_a/t, when it is bounded, over s_a's aligned
     prefix and, with ``tail_carried``, at the first tail index (inf past
-    float64).  t's aligned values are built here, each offset once, and freed
-    on return, before the parts are built.  The entries both sequences carry
-    are divided in one vectorized division; overflow gives inf, as Python's
-    ``/`` does."""
-    upto, tail = s_a.prefix_len, t.tail
-    t_values = t.prefix + (t._tail(range(1, sure + 1)) if sure else ()) + past
-    s_v, t_v = _array(s_a.prefix), _array(t_values)
+    float64), bit for bit the one of t's values by the scalar tail rule.
+
+    On t's ``sure`` offsets, where r**j and a * r**j are normal floats, t is
+    screened as a times a cumulative product of r, whose relative error after
+    j factors is at most (j - 1) eps/2 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Lemma 3.1); the entries both sequences
+    carry are divided in one vectorized division, and overflow gives inf, as
+    Python's ``/`` does.  The screened and the scalar ratio at offset j differ
+    by at most (j + 5) eps/2 to first order: the product chain, pow's 1 ulp,
+    and one rounding for each product with a and each division.  So the
+    largest scalar ratio lies at an offset screened within twice that of the
+    screened maximum, which is capped at the largest float so that an
+    overflow to inf cannot hide a finite neighbour; the allowance doubles
+    that again.  ``_tail`` evaluates only the offsets in that band and the
+    last offset when it is the scale of the rebased tail; off the ``sure``
+    range t's values are its prefix and ``past``, already the rule's."""
+    upto, tail, lead = s_a.prefix_len, t.tail, t.prefix_len
+    span = slice(lead, lead + sure)
+    t_v = np.empty(upto)
+    t_v[:lead], t_v[lead + sure:] = _array(t.prefix), _array(past)
+    if sure:
+        chain = t_v[span]
+        chain.fill(tail.r)
+        np.multiply.accumulate(chain, out=chain)
+        chain *= tail.a
+    s_v = _array(s_a.prefix)
     kept = on_t & (s_v > 0)
+    allowance = 2 * (sure + 5) * sys.float_info.epsilon
     with np.errstate(over="ignore"):
-        sup = float(np.divide(s_v, t_v, out=s_v, where=kept).max(where=kept, initial=0.0))
+        ratio = np.divide(s_v, t_v, out=t_v, where=kept)
+        top = min(float(ratio[span].max(where=kept[span], initial=0.0)), sys.float_info.max)
+        # 4 ulps of 0 cover the divisions' absolute error where a ratio is subnormal
+        band = np.flatnonzero(kept[span] & (ratio[span] >= top * (1.0 - allowance) - 4 * math.ulp(0.0)))
+        offsets = (band + 1).tolist()
+        if tail_carried and sure == upto - lead > 0 and offsets[-1:] != [sure]:
+            offsets.append(sure)
+        exact = _array(t._tail(offsets) if offsets else ())
+        kept[span] = False
+        sup = max(float(ratio.max(where=kept, initial=0.0)),
+                  float(np.divide(s_v[lead + band], exact[:band.size]).max(initial=0.0)))
     if tail_carried:
         # the scale of t's tail rebased at upto, as ``materialized`` keeps it
-        rebased = t_values[-1] if upto > t.prefix_len else tail.a
+        rebased = tail.a if upto == lead else past[-1] if past else exact[-1]
         log_ratio = s_a.log_value_at(upto + 1) - (math.log(rebased) + math.log(tail.r))
         sup = max(sup, _exp_or_inf(log_ratio))
     return sup
@@ -343,8 +376,9 @@ def _diag_split(s: L1Sequence, t: L1Sequence) -> DiagonalDecomposition:
     A surviving tail on t absorbs the whole tail of s into ac; the ratio of two
     geometric tails is geometric, bounded iff r_s <= r_t, with its supremum at
     the first tail index, inf if it lies past float64.  An unbounded ratio is
-    thus known from the tails alone; only a bounded one builds t's aligned
-    values, in ``_bounded_sup``."""
+    thus known from the tails alone; only a bounded one reads t's aligned
+    values, in ``_bounded_sup``, which screens them as one array and runs the
+    scalar rule only inside the screen's band."""
     upto = max(s.prefix_len, t.prefix_len)
     s_a = s.materialized(upto)
     tail, extra = t.tail, upto - t.prefix_len

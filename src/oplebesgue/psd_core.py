@@ -139,18 +139,22 @@ class SpectralDecomp:
 def eigh(matrix) -> SpectralDecomp:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
-    The factorization invariants (reconstruction accuracy, orthonormality)
-    are verified before the result is returned.
+    The matrix is factored divided by its power of two, ``_unit``, and its
+    eigenvalues are scaled back, so an operand of subnormal entries is factored
+    at full precision.  The factorization invariants (reconstruction accuracy,
+    orthonormality) are verified on that quotient before the result is
+    returned.
     """
     herm = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
-    arr = herm.array
+    unit = _unit(herm.array)
+    arr = herm.array / unit
     w, V = np.linalg.eigh(arr)
     w, V = w[::-1].copy(), V[:, ::-1].copy()
-    decomp = SpectralDecomp(_frozen(w), _frozen(V))
-    if math.isinf(sum(np.abs(w).tolist())):  # a Python float sum overflows to inf, silently
+    with np.errstate(over="ignore"):  # an eigenvalue past float64 is rejected below
+        decomp = SpectralDecomp(_frozen(w * unit), _frozen(V))
+    if math.isinf(sum(np.abs(decomp.eigenvalues).tolist())):  # a Python float sum overflows to inf, silently
         raise ValidationError("matrix trace norm must fit a float64")
-    unit = _unit(arr)
-    if not np.linalg.norm((decomp.reconstruct() - arr) / unit) <= SPECTRAL_TOL * np.linalg.norm(arr / unit):
+    if not np.linalg.norm((V * w) @ V.conj().T - arr) <= SPECTRAL_TOL * np.linalg.norm(arr):
         raise ConsistencyError("spectral factorization failed to reconstruct its input")
     gram_err = float(np.linalg.norm(V.conj().T @ V - np.eye(herm.dim)))
     if not gram_err <= SPECTRAL_TOL:

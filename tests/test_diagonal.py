@@ -32,6 +32,7 @@ from conftest import make_rng, random_sequence
 HALF = L1Sequence((), GeometricTail(1.0, 0.5))        # 2^-n
 THIRD = L1Sequence((), GeometricTail(1.0, 1.0 / 3.0))  # 3^-n
 QUARTER = L1Sequence((), GeometricTail(1.0, 0.25))     # 4^-n
+_FLOAT_MAX = sys.float_info.max
 
 
 class TestSequenceType:
@@ -463,7 +464,8 @@ def unsplit_decompose(s, t):
 
 def unsplit_dominated(s, t):
     """sup s_n / t_n by its own formulas: a support violation or a tail of s
-    decaying slower than t's gives None; two tails compare at the first tail index."""
+    decaying slower than t's gives None; two tails compare at the first tail
+    index, inf past float64."""
     upto = max(s.prefix_len, t.prefix_len)
     s_a, t_a = _unsplit_aligned(s, upto), _unsplit_aligned(t, upto)
     sup = 0.0
@@ -475,8 +477,15 @@ def unsplit_dominated(s, t):
     if s_a.tail is not None:
         if t_a.tail is None or s_a.tail.r > t_a.tail.r:
             return None
-        sup = max(sup, math.exp(s_a.log_value_at(upto + 1) - t_a.log_value_at(upto + 1)))
+        log_ratio = s_a.log_value_at(upto + 1) - t_a.log_value_at(upto + 1)
+        sup = max(sup, math.exp(log_ratio) if log_ratio < math.log(_FLOAT_MAX) else math.inf)
     return sup
+
+
+def unsplit_constant(s, t):
+    """The certificate's constant by the unsplit formulas: sup ac_n / t_n over
+    t's values built entry by entry by the scalar rule, or None when unbounded."""
+    return unsplit_dominated(unsplit_decompose(s, t)[0], t)
 
 
 def _split_panel():
@@ -596,10 +605,11 @@ class TestOneSplit:
         assert counts == {"split": 1, "materialized": 0}
 
     def test_split_evaluates_only_the_tail_values_it_reads(self, monkeypatch):
-        # a 256-entry base with r = 0.999 and a 100 256-entry companion, the
-        # base's values with a slower tail: the closed form covers the whole
-        # aligned tail, so an unbounded split evaluates no value of the base's
-        # tail, and a bounded one, which needs the ratio, evaluates each offset once
+        # a 256-entry base with r = 0.999 and 100 256-entry companions built on
+        # the base's values: the closed form covers the whole aligned tail, so
+        # an unbounded split evaluates no value of the base's tail, and a bounded
+        # one evaluates by the scalar rule only the offsets its screen leaves
+        # open, the band, and the last offset, the scale of the rebased tail
         rng = make_rng(61)
         prefix = tuple(float(v) if rng.random() > 0.25 else 0.0 for v in rng.uniform(0.05, 1.0, 256))
         lam = L1Sequence(prefix, GeometricTail(0.5, 0.999))
@@ -615,6 +625,100 @@ class TestOneSplit:
         monkeypatch.setattr(L1Sequence, "_tail", counted_tail)
         assert not diagonal._diag_split(mu, lam).certificate.bounded
         assert offsets == []
+        # s = t: the ratio ties at every offset, so every offset is in the band,
+        # evaluated once
         dominated = L1Sequence(mu.prefix, GeometricTail(mu.tail.a, lam.tail.r))
         assert diagonal._diag_split(dominated, lam).certificate.bounded
         assert sorted(offsets) == list(range(1, 100_001))
+        # a generic ratio: its band is its largest offset alone
+        offsets.clear()
+        weights = rng.uniform(0.5, 2.0, long.prefix_len)
+        generic = L1Sequence(tuple((np.array(long.prefix) * weights).tolist()), dominated.tail)
+        certificate = diagonal._diag_split(generic, lam).certificate
+        top = int(np.argmax(np.where(np.arange(long.prefix_len) >= 256, weights, 0.0))) - 255
+        assert offsets == [top, 100_000]
+        monkeypatch.setattr(L1Sequence, "_tail", tail)
+        assert _bits(certificate.c) == _bits(unsplit_constant(generic, lam))
+
+    def test_an_overflowing_screen_does_not_hide_a_finite_maximum(self):
+        # at offset 3 the screened value of t lies below the scalar one, so its
+        # ratio, one ulp below the float maximum, screens as inf; at offset 30
+        # the ratio is the float maximum itself and screens finite
+        t = L1Sequence((), GeometricTail(1e-300, 0.99))
+        v3, v30 = t.value_at(3), t.value_at(30)
+        values = [0.0] * 30
+        values[2], values[29] = v3 * (_FLOAT_MAX * (1.0 - 2.0 ** -53)), v30 * _FLOAT_MAX
+        with np.errstate(over="ignore"):
+            screened = np.multiply.accumulate(np.full(30, 0.99)) * 1e-300
+            assert values[2] / screened[2] == math.inf and values[2] / v3 < values[29] / v30
+        s = L1Sequence(tuple(values))
+        assert diagonal._diag_split(s, t).certificate.c == _FLOAT_MAX == unsplit_constant(s, t)
+
+    def test_a_subnormal_screen_does_not_hide_the_maximum(self):
+        # ratios of about 2^20 units of the smallest subnormal, where the
+        # relative allowance is far below one unit: the screen lies above the
+        # scalar rule at offset 5 and below it at offset 10, so each ratio
+        # rounds one unit apart, and the screened maximum sits at offset 10
+        # while the scalar one sits at offset 5
+        t = L1Sequence((), GeometricTail(2.0 ** 40, 0.95))
+        values = [0.0] * 10
+        values[4], values[9] = float.fromhex("0x1.8c2d103b1172dp-1015"), float.fromhex("0x1.328daf7e4c677p-1015")
+        screened = np.multiply.accumulate(np.full(10, 0.95)) * 2.0 ** 40
+        unit, k = math.ulp(0.0), 2 ** 20
+        assert values[4] / screened[4] == k * unit and values[4] / t.value_at(5) == (k + 1) * unit
+        assert values[9] / screened[9] == (k + 1) * unit and values[9] / t.value_at(10) == k * unit
+        s = L1Sequence(tuple(values))
+        assert diagonal._diag_split(s, t).certificate.c == (k + 1) * unit == unsplit_constant(s, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.floats(min_value=1e-3, max_value=1.0 - 2.0 ** -40),
+    scale=st.sampled_from([1.0, 2.0 ** -990, 1e-300]),
+    t_prefix=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), max_size=40),
+    t_a=st.floats(min_value=0.1, max_value=4.0),
+    s_len=st.integers(min_value=0, max_value=3000),
+    kind=st.sampled_from(["ties", "near_ties", "random", "huge"]),
+    s_tail=st.sampled_from([None, "same", "faster", "slower"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# long exact ties, s = 2t, with a carried tail
+@example(r=0.999, scale=1.0, t_prefix=[1.0, 0.0, 3.0], t_a=0.5, s_len=3000, kind="ties", s_tail="same", seed=0)
+@example(r=0.999, scale=1.0, t_prefix=[], t_a=1.0, s_len=3000, kind="near_ties", s_tail=None, seed=2)
+# ratios overflowing to inf beside ones just below the float maximum
+@example(r=0.9, scale=1e-300, t_prefix=[], t_a=1.0, s_len=2000, kind="huge", s_tail=None, seed=1)
+@example(r=1.0 - 2.0 ** -40, scale=2.0 ** -990, t_prefix=[0.5], t_a=4.0, s_len=3000, kind="huge", s_tail="same", seed=2)
+# offsets past the sure range: t's values turn subnormal, then zero
+@example(r=1e-3, scale=1e-300, t_prefix=[1.0], t_a=0.1, s_len=400, kind="random", s_tail="same", seed=3)
+@example(r=0.5, scale=2.0 ** -990, t_prefix=[], t_a=1.0, s_len=100, kind="ties", s_tail="faster", seed=4)
+# t's prefix longer than s's
+@example(r=0.99, scale=1.0, t_prefix=[0.5] * 40, t_a=1.0, s_len=5, kind="random", s_tail="faster", seed=5)
+def test_screened_supremum_is_the_scalar_rules(r, scale, t_prefix, t_a, s_len, kind, s_tail, seed):
+    """The certificate's constant equals, bit for bit, the supremum over t's
+    aligned values built by the scalar rule, however close the ratios lie."""
+    assume(kind != "huge" or scale < 1.0)  # a ratio past float64 needs a small t
+    t = L1Sequence(tuple(scale * v for v in t_prefix), GeometricTail(scale * t_a, r))
+    base = np.array(t.materialized(max(s_len, t.prefix_len)).prefix[:s_len])
+    rng = make_rng(seed)
+    if kind == "ties":
+        values = 2.0 * base
+    elif kind == "near_ties":
+        # ties but at about 1 % of the offsets, a few ulps above them: closer
+        # than the screen resolves, so its maximum need not be the scalar one
+        above = rng.integers(1, 4, s_len) * (rng.random(s_len) < 0.01)
+        values = 2.0 * base * (1.0 + above * sys.float_info.epsilon)
+    elif kind == "random":
+        values = base * rng.uniform(0.5, 2.0, s_len)
+    else:
+        # ratios of about 2 and 1/2 times the float maximum and within 16 ulps
+        # below it: inf, finite, and either side of the overflow
+        near = [1.0 - k * 2.0 ** -53 for k in range(16)]
+        values = base * rng.choice([2.0, 0.5, *near], s_len) * _FLOAT_MAX
+    values[rng.random(s_len) < 0.1] = 0.0
+    tails = {"same": r, "faster": r / 2, "slower": (1.0 + r) / 2}
+    s = L1Sequence(tuple(values.tolist()),
+                   s_tail and GeometricTail(scale * t_a * rng.uniform(0.5, 2.0), tails[s_tail]))
+    expected = unsplit_constant(s, t)
+    certificate = diagonal._diag_split(s, t).certificate
+    assert certificate.bounded == (expected is not None)
+    assert _bits(certificate.c) == _bits(expected)

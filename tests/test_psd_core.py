@@ -154,6 +154,24 @@ class TestTopOfTheFloatRange:
             PsdMatrix(entries)
 
 
+class TestBottomOfTheFloatRange:
+    """An operand is factored divided by its power of two, so one of
+    subnormal entries is factored at full precision and its reconstruction
+    check does not read the rounding of the subnormal grid."""
+
+    @pytest.mark.parametrize("k", range(-1070, -1049, 4))
+    def test_subnormal_operand_passes_the_gate(self, k):
+        # F F* of a rank-2 complex F with small Gaussian-integer entries:
+        # scaled by 2^k it is stored exactly, and its eigenvalues are 2^k
+        # times those of F F*, rounded to the subnormal grid
+        factor = np.array([[1, 1j], [2, 0], [0, 1 - 1j]])
+        gram = factor @ factor.conj().T
+        psd = PsdMatrix(gram * 2.0 ** k)
+        assert np.array_equal(psd.array, gram * 2.0 ** k)
+        expected = np.linalg.eigvalsh(gram)[::-1] * 2.0 ** k
+        np.testing.assert_allclose(psd.eigenvalues, expected, rtol=0, atol=math.ulp(0.0))
+
+
 class TestSqrt:
     def test_diagonal_roots(self):
         np.testing.assert_allclose(
