@@ -54,6 +54,10 @@ MAX_TRUNCATE = 2048
 # for a long sequence prefix stays small next to the operands
 _SLICE = 4096
 
+# the text of a finite float, the call json's C encoder makes for one; the
+# grid path of _layout formats every magnitude through this name
+_float_text = float.__repr__
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -165,9 +169,15 @@ def _layout(obj, newline: str, emit):
     numbers goes to the C encoder, ``_SLICE`` entries at a time, with the
     indented line break as its item separator; every scalar goes to
     ``json.dumps``.  A numpy array is laid out as its ``tolist()``, a 2-D one
-    row by row, so no nested list of the whole array is built.
+    row by row, so no nested list of the whole array is built.  A square,
+    finite float64 grid takes ``_layout_grid``, which formats each mirrored
+    magnitude once; any other array goes to the C encoder row by row.
     """
     if isinstance(obj, np.ndarray):
+        if (obj.ndim == 2 and obj.shape[0] == obj.shape[1] > 0 and obj.dtype == np.float64
+                and math.isfinite(obj.max()) and math.isfinite(obj.min())):
+            _layout_grid(obj, newline, emit)
+            return
         obj = list(obj) if obj.ndim > 1 else obj.tolist()
     inner = newline + "  "
     if isinstance(obj, (list, tuple)) and obj:
@@ -193,6 +203,43 @@ def _layout(obj, newline: str, emit):
         emit(newline + "}")
     else:
         emit(json.dumps(obj))
+
+
+def _layout_grid(grid: np.ndarray, newline: str, emit):
+    """The text of a square, finite float64 grid as ``_layout`` lays out its
+    ``tolist()``, one row per ``emit``.
+
+    Each entry is written as a sign and a magnitude, "-" wherever its sign
+    bit is set, and the magnitude's text is the ``_float_text`` of |g_ij|,
+    as the C encoder writes a finite float.  The magnitudes of row i from
+    the diagonal on are formatted when the row is written; that of (i, j),
+    j > i, is held until row j, where it serves the mirrored entry (j, i)
+    if that one's magnitude has the same bits.  A lower entry whose
+    magnitude differs from its mirror's is formatted itself.  So an exactly
+    Hermitian part, real or imaginary, formats n (n + 1) / 2 magnitudes, not
+    n^2.  The held texts are kept in one list per column, which row i takes
+    whole and drops, so at most about n^2 / 4 are held at once.  Signs and
+    magnitudes are compared one row and one column slice at a time.
+    """
+    inner, entry = newline + "  ", newline + "    "
+    separator = "," + entry
+    # columns[c]: texts of |g_jc| for the rows j written so far, j < c;
+    # column i becomes the head of row i, and is then dropped
+    columns = [[] for _ in range(grid.shape[0])]
+    emit("[" + inner)
+    for i, row in enumerate(grid):
+        upper = list(map(_float_text, np.abs(row[i:]).tolist()))
+        texts, columns[i] = columns[i], None
+        if i:
+            for j in np.flatnonzero(np.abs(row[:i]) != np.abs(grid[:i, i])).tolist():
+                texts[j] = _float_text(abs(float(row[j])))
+        for column, text in zip(columns[i + 1:], upper[1:]):
+            column.append(text)
+        texts += upper
+        for j in np.flatnonzero(np.signbit(row)).tolist():
+            texts[j] = "-" + texts[j]
+        emit(("," + inner if i else "") + "[" + entry + separator.join(texts) + inner + "]")
+    emit(newline + "]")
 
 
 def _json_key(key) -> str:
@@ -228,16 +275,19 @@ def cmd_decompose(args) -> int:
     del obj_s
     t = parse(obj_t)
     del obj_t
+    inputs = {"s": _echo(s, kind, digest_s), "t": _echo(t, kind, digest_t)}
     if kind == "matrix":
         dec = decompose(s, t)
-        steps = dec.trace_of_iteration.steps
+        # the grids are float views that keep the two parts' arrays alive,
+        # and nothing else of the decomposition
         body = {
             "ac": _matrix_grids(dec.ac),
             "sing": _matrix_grids(dec.sing),
             "unique": dec.uniqueness.unique,
             "c": _json_number(dec.uniqueness.c),
-            "iterations": [{"k": step.k, "gap": step.gap} for step in steps],
+            "iterations": [{"k": step.k, "gap": step.gap} for step in dec.trace_of_iteration.steps],
         }
+        del dec
     else:
         split = _diag_split(s, t)
         body = {
@@ -247,8 +297,10 @@ def cmd_decompose(args) -> int:
             "c": _json_number(split.certificate.constant()),
             "iterations": [],
         }
+    # the operands and the decomposition are freed before the report is written
+    del s, t
     report = {
-        "inputs": {"s": _echo(s, kind, digest_s), "t": _echo(t, kind, digest_t)},
+        "inputs": inputs,
         "tolerances": {"conv_tol": CONV_TOL, "psd_tol": PSD_TOL, "rank_cutoff": RANK_CUTOFF},
         "decomposition": body,
         "timing": {"elapsed_seconds": time.perf_counter() - started},

@@ -14,7 +14,7 @@ independent ways, and certifies the split before returning it:
   that factorization: each step's trace, trace-norm gap and domination
   constant cost O(r), and monotonicity and PSD-ness of every step follow from
   the structure the engine certifies once, at construction; only the returned
-  pair is checked densely.  The limit and the step approximants are built
+  pair is checked densely, in the engine's frame.  The limit and the step approximants are built
   from their factors, the latter only when they are read.
 
 * ``ac_part_closed`` evaluates the kernel-projection formula
@@ -128,8 +128,8 @@ class LebesgueDecomposition:
     uniqueness: UniquenessCertificate
 
 
-def _dominated(candidate: np.ndarray, t: PsdMatrix,
-               c: Optional[Tuple[float, int]] = None) -> Tuple[float, Optional[dict]]:
+def _dominated(candidate: np.ndarray, t: PsdMatrix, c: Optional[Tuple[float, int]] = None,
+               exponent: int = 0) -> Tuple[float, Optional[dict]]:
     """(c, None) when the Loewner check accepts candidate <= c T, c rounded to
     float64 only once it has passed; (inf, miss) when it rejects, miss holding
     the c, the smallest eigenvalue of c T - candidate and the band that the
@@ -143,14 +143,16 @@ def _dominated(candidate: np.ndarray, t: PsdMatrix,
     passes unchecked.  Otherwise c is the largest eigenvalue of the candidate
     compressed by sqrt(T^+) to the range of T (0 against T = 0), and one above
     float64 raises.  An exactly zero candidate has c = 0 against every T and
-    enters no frame."""
+    enters no frame.  A candidate given divided by 2^exponent, an exact
+    power of two that keeps its entries normal, is framed the same way, and c
+    and the returned values stay in the units of the undivided candidate."""
     if not np.any(candidate):
         return 0.0, None
     unit = _unit(candidate)
     t_exponent = max(2 * ((math.frexp(t.lam_max)[1] - 1) // 2), -1022)
     t_unit = math.ldexp(1.0, t_exponent)
     framed_candidate, framed_w = candidate / unit, t.eigenvalues / t_unit
-    power = math.frexp(unit)[1] - 1 - t_exponent  # c = framed * 2^power
+    power = math.frexp(unit)[1] - 1 - t_exponent + exponent  # c = framed * 2^power
     if c is None:
         k = t.rank()
         inv_root = t.spectrum.eigenvectors[:, :k] * (1.0 / np.sqrt(framed_w[:k]))
@@ -195,7 +197,10 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
     the last recorded one in the Loewner order, PSD by construction, and with
     the last domination constant checked against T by ``_dominated``, so it
     is rounded to float64 only once it has passed; an exactly zero
-    approximant has c = 0 and enters no frame.
+    approximant has c = 0 and enters no frame.  Both dense checks take the
+    two approximants divided by u_S^2, as the stop test does, and the
+    constant's exponent is shifted to match, so a subnormal S is checked at
+    full precision and every record in the normal range is unchanged.
     """
     family = _ScaledParallelSums(s, t)
     threshold = CONV_TOL * family.framed(trace_norm(s))
@@ -217,14 +222,17 @@ def ac_part_iterative(s: PsdMatrix, t: PsdMatrix) -> Tuple[PsdMatrix, IterationT
         if remaining > threshold:
             steps.append(step)
             continue
-        current = family.at_scale(m)
+        # both checks run on the approximants in the engine's frame, whose
+        # entries stay normal floats for a subnormal S
+        current = family.at_scale(m, framed=True)
         limit = family.member(2.0 * m)
-        if not loewner_leq(current, limit):
+        if _loewner_miss(current, family.at_scale(2.0 * m, framed=True),
+                         family.framed(limit.eigenvalues)) is not None:
             raise ConsistencyError(
                 f"approximant sequence is not monotone at step k={k}",
                 details={"step": k, "gap": step.gap},
             )
-        c_bound, _ = _dominated(current, t, (c_family, -2 * family.shift))
+        c_bound, _ = _dominated(current, t, (c_family, -2 * family.shift), family.frame_exponent)
         steps.append(replace(step, c_bound=c_bound))
         return limit, IterationTrace(tuple(steps))
     remaining, threshold = family.unframed(remaining), family.unframed(threshold)

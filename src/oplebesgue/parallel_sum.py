@@ -182,9 +182,14 @@ class _ScaledParallelSums:
         phi, unit = self._filter(m)
         return self._direction * (np.sqrt(phi * self._mass) * unit)
 
-    def at_scale(self, m: float) -> np.ndarray:
-        """The member at filter argument m as a Hermitian array."""
+    def at_scale(self, m: float, framed: bool = False) -> np.ndarray:
+        """The member at filter argument m as a Hermitian array, in S's units
+        or, ``framed``, divided by u_S^2 like ``gap``, where its entries stay
+        normal floats for a subnormal S: the factor's own entries, of size
+        about u_S, are normal."""
         factor = self.factor_at(m)
+        if framed:
+            factor = factor / self._unit_s
         product = factor @ factor.conj().T
         return product / 2 + product.conj().T / 2
 
@@ -229,6 +234,11 @@ class _ScaledParallelSums:
     def unframed(self, value: float) -> float:
         """A trace in the frame brought back to S's units: value * u_S^2."""
         return value * self._unit_s * self._unit_s
+
+    @property
+    def frame_exponent(self) -> int:
+        """The e with u_S^2 = 2^e, which brings a framed value to S's units."""
+        return 2 * (math.frexp(self._unit_s)[1] - 1)
 
     def reach(self, threshold: float) -> float:
         """sum_i (d_i / threshold) / a_i^2 for a threshold in the frame, which

@@ -811,6 +811,19 @@ class TestSubnormalOperand:
         assert run_cli(["--quiet", "converge-report", tiny, t_path, csv_path], capsys) == (0, "", "")
         assert csv_path.read_text().startswith("k,n,gap_trace,c_bound\n0,1,")
 
+    def test_last_constant_of_a_subnormal_pair_is_the_unit_one(self, tmp_path, capsys):
+        # S = T = [[2^-1060]]: the last approximant is checked against T in
+        # the engine's frame, so its constant is the unit pair's, not inf
+        rows = {}
+        for name, entry in (("unit", 1.0), ("tiny", 2.0**-1060)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"dim": 1, "real": [[entry]]}))
+            csv_path = tmp_path / f"{name}.csv"
+            assert run_cli(["--quiet", "converge-report", path, path, csv_path], capsys) == (0, "", "")
+            rows[name] = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert rows["tiny"][-1][3] == rows["unit"][-1][3] == "0.9999999981373553"
+        assert [row[:2] + row[3:] for row in rows["tiny"]] == [row[:2] + row[3:] for row in rows["unit"]]
+
 
 def _float_range_pairs(count, seed):
     """(s, t, complex) for ``count`` PSD pairs with n <= 3, each side of any

@@ -754,12 +754,12 @@ class TestSpectralBudget:
         s, t = PsdMatrix(alpha * s), PsdMatrix(beta * t)
         dominated, calls = lebesgue._dominated, []
 
-        def counted(candidate, reference, c=None):
+        def counted(candidate, reference, *given):
             calls.append("_dominated")
             with monkeypatch.context() as patch:
                 for name in ("cholesky", "eigvalsh"):
                     patch.setattr(np.linalg, name, lambda *args, _n=name: calls.append(_n))
-                return dominated(candidate, reference, c)
+                return dominated(candidate, reference, *given)
 
         monkeypatch.setattr(lebesgue, "_dominated", counted)
         limit, record = lebesgue.ac_part_iterative(s, t)
@@ -810,19 +810,38 @@ class TestSubnormalOperands:
     distances and threshold are taken in the engine's frame, so none of them
     underflows and the schedule is the one of the same pair at unit scale."""
 
-    def test_record_is_the_unit_record_scaled_once(self):
-        # 2^-1060 passes the gate exactly and its root, 2^-530, is exact: the
-        # frame is the unit pair's bit for bit, so the schedule and every
-        # step's constant from the weights agree, and each trace and gap is
-        # the unit one times 2^-1060, rounded once into the subnormal range
+    @pytest.mark.parametrize("power", [-1042, -1060])
+    def test_record_is_the_unit_record_scaled_once(self, power):
+        # 2^power passes the gate exactly and its root is exact: the frame is
+        # the unit pair's bit for bit, so the schedule and every step's
+        # constant agree, the last one checked densely in that frame too, and
+        # each trace and gap is the unit one times 2^power, rounded once
+        # into the subnormal range
         unit_ac, unit = ac_part_iterative(PsdMatrix([[1.0]]), PsdMatrix([[1.0]]))
-        tiny = PsdMatrix([[2.0**-1060]])
+        tiny = PsdMatrix([[2.0**power]])
         ac, record = ac_part_iterative(tiny, tiny)
         assert len(record.steps) == len(unit.steps) == 30
-        assert [(s.k, s.c_bound) for s in record.steps[:-1]] == [(s.k, s.c_bound) for s in unit.steps[:-1]]
+        assert [(s.k, s.c_bound) for s in record.steps] == [(s.k, s.c_bound) for s in unit.steps]
+        assert record.steps[-1].c_bound == 0.9999999981373553
         assert [(s.trace, s.gap) for s in record.steps] == [
-            (math.ldexp(s.trace, -1060), math.ldexp(s.gap, -1060)) for s in unit.steps]
-        assert ac.array[0, 0] == math.ldexp(unit_ac.array[0, 0].real, -1060)
+            (math.ldexp(s.trace, power), math.ldexp(s.gap, power)) for s in unit.steps]
+        assert ac.array[0, 0] == math.ldexp(unit_ac.array[0, 0].real, power)
+
+    @pytest.mark.parametrize("seed", [13, 16, 33, 46])
+    def test_returned_pair_is_checked_in_the_frame(self, seed):
+        # random pairs both divided by 2^1042: the approximants in S's units
+        # are rounded to the subnormal grid, far coarser than the Loewner
+        # band, while in the engine's frame they are full floats, so the
+        # monotonicity and domination checks pass and the record keeps the
+        # unit pair's schedule, its last constant to the operands' rounding
+        rng = make_rng(seed)
+        n = int(rng.integers(1, 5))
+        a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+        b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+        _, unit = ac_part_iterative(a, b)
+        _, record = ac_part_iterative(PsdMatrix(a.array * 2.0**-1042), PsdMatrix(b.array * 2.0**-1042))
+        assert [s.k for s in record.steps] == [s.k for s in unit.steps]
+        assert record.steps[-1].c_bound == pytest.approx(unit.steps[-1].c_bound, rel=1e-8)
 
     @pytest.mark.parametrize("t_entry, c", [(1.0, 1e-320), (1e-320, 1.0)])
     def test_decompose_answers(self, t_entry, c):

@@ -7,6 +7,7 @@ pin that every accept/reject decision and every message stays that of the
 entry-by-entry check.
 """
 
+import gc
 import json
 import math
 import re
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplebesgue import (GeometricTail, L1Sequence, PsdMatrix, hermitian_from_json, psd_from_json,
-                        sequence_from_json)
+from oplebesgue import (GeometricTail, HermitianMatrix, L1Sequence, PsdMatrix, hermitian_from_json,
+                        psd_from_json, sequence_from_json)
 from oplebesgue import cli
 from oplebesgue.cli import _pretty, main
 from oplebesgue.errors import ValidationError
@@ -114,8 +115,11 @@ class TestWriterMatchesStdlib:
 
 
 class TestStreamedWriter:
-    """The report writer lays out float arrays row by row, hands long number
-    lists to the C encoder in slices, and writes each chunk as it comes."""
+    """The report writer lays out float arrays row by row, formats the
+    magnitude of each mirrored pair of a square finite float64 grid once,
+    hands every other array row and long number list to the C encoder in
+    slices, and writes each chunk as it comes, after the request has dropped
+    its operands."""
 
     @pytest.mark.parametrize("arr", [
         np.array([[-0.0, math.nan], [math.inf, -math.inf]]),
@@ -165,6 +169,57 @@ class TestStreamedWriter:
 
         return Handle
 
+    @staticmethod
+    def counted_texts(monkeypatch):
+        formatted = []
+        text = cli._float_text
+        monkeypatch.setattr(cli, "_float_text", lambda value: formatted.append(value) or text(value))
+        return formatted
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_hermitian_part_formats_each_mirrored_magnitude_once(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        factor = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        product = factor @ factor.conj().T
+        part = product / 2 + product.conj().T / 2
+        grids = {"imag": part.imag, "real": part.real}
+        formatted = self.counted_texts(monkeypatch)
+        assert _pretty(grids) == _stdlib(_as_lists(grids))
+        assert len(formatted) == n * (n + 1)
+
+    def test_unmirrored_grid_formats_every_entry(self, monkeypatch):
+        # no lower entry has its mirror's magnitude, so each is formatted itself
+        grid = np.arange(1.0, 50.0).reshape(7, 7)
+        formatted = self.counted_texts(monkeypatch)
+        assert _pretty(grid) == _stdlib(grid.tolist())
+        assert len(formatted) == 49
+
+    def test_operands_are_freed_before_the_write(self, tmp_path, monkeypatch, capsys):
+        # while the report is written, no HermitianMatrix made by the request
+        # is alive: the operands, the decomposition and its parts are dropped,
+        # and the report's grids keep only the parts' arrays
+        s, t = structured_pair("generic", 24, 1)
+        paths = []
+        for name, a in (("s.json", s), ("t.json", t)):
+            path = tmp_path / name
+            path.write_text(json.dumps({"dim": 24, "real": a.real.tolist(), "imag": a.imag.tolist()}))
+            paths.append(str(path))
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, HermitianMatrix)]
+        known = {id(o) for o in before}
+        live = []
+        write = cli._write_report
+
+        def spy(path, report, quiet):
+            live.extend(type(o).__name__ for o in gc.get_objects()
+                        if isinstance(o, HermitianMatrix) and id(o) not in known)
+            write(path, report, quiet)
+
+        monkeypatch.setattr(cli, "_write_report", spy)
+        assert main(["--quiet", "decompose", *paths, str(tmp_path / "r.json")]) == 0
+        assert live == []
+        assert json.loads((tmp_path / "r.json").read_text())["decomposition"]["unique"] is True
+
     def test_failure_after_the_first_write_leaves_the_old_report(self, tmp_path, monkeypatch):
         writes = []
         target = tmp_path / "r.json"
@@ -195,6 +250,73 @@ _REPORTS = st.recursive(
 @given(_REPORTS)
 def test_writer_matches_stdlib_on_random_reports(obj):
     assert _pretty(obj) == _stdlib(obj)
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 0.1, -1.5]),
+)
+
+
+@st.composite
+def _square_grids(draw):
+    """A square float64 grid: exactly symmetric, antisymmetric, a part of
+    (F F*)/2 + (F F*)*/2, mirrored signed zeros, or arbitrary, with some
+    lower entries moved off their mirror's magnitude."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["symmetric", "antisymmetric", "hermitian", "zeros", "arbitrary"]))
+    if kind == "hermitian":
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * n * n, max_size=2 * n * n))
+        factor = np.array(values[:n * n]).reshape(n, n) + 1j * np.array(values[n * n:]).reshape(n, n)
+        factor *= 2.0 ** draw(st.integers(-1080, 480))
+        product = factor @ factor.conj().T
+        grid = (product / 2 + product.conj().T / 2)
+        grid = grid.imag if draw(st.booleans()) else grid.real
+        return np.ascontiguousarray(grid) if draw(st.booleans()) else grid
+    if kind == "zeros":
+        # x - x is +0.0 on both sides; a -0.0 input gives -0.0 on one side
+        grid = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n * n, max_size=n * n)))
+        return grid.reshape(n, n)
+    grid = np.array(draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    if kind == "symmetric":
+        grid[lower] = grid.T[lower]
+    elif kind == "antisymmetric":
+        grid[lower] = -grid.T[lower]
+    if kind != "arbitrary" and n > 1:
+        for i, j in draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(0, n - 2)), max_size=3)):
+            if j < i:
+                with np.errstate(over="ignore"):  # past the largest float: a non-finite grid
+                    grid[i, j] = np.nextafter(grid[i, j], draw(st.sampled_from([-np.inf, np.inf])))
+    return grid
+
+
+@st.composite
+def _other_grids(draw):
+    """Grids that take the C encoder: a non-finite entry, non-square, or not float64."""
+    grid = draw(_square_grids())
+    kind = draw(st.sampled_from(["non-finite", "non-square", "float32", "int"]))
+    if kind == "non-finite":
+        grid = grid.copy()
+        grid.flat[draw(st.integers(0, grid.size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return grid
+    if kind == "non-square":
+        return np.concatenate([grid, grid[:, :1]], axis=1)
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            return grid.astype(np.float32)
+    return np.clip(np.nan_to_num(grid), -1e18, 1e18).astype(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_square_grids(), _other_grids()))
+def test_grids_match_stdlib_of_their_lists(grid):
+    rows = grid.tolist()
+    assert _pretty(grid) == _stdlib(rows)
+    assert _pretty({"real": grid, "dim": len(rows)}) == _stdlib({"real": rows, "dim": len(rows)})
+    assert _pretty({"a": {"ac": {"imag": grid}}, "b": [grid]}) == \
+        _stdlib({"a": {"ac": {"imag": rows}}, "b": [rows]})
 
 
 _OK = [[1.0, 0.0], [0.0, 1.0]]
